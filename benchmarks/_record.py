@@ -126,19 +126,7 @@ def run_suite(
             peak_rss_kb //= 1024
     raw = json.loads(raw_path.read_text())
     raw_path.unlink(missing_ok=True)
-    benchmarks = {
-        bench["name"]: {
-            "mean_s": bench["stats"]["mean"],
-            "min_s": bench["stats"]["min"],
-            "rounds": bench["stats"]["rounds"],
-            # Worker count of the sharded extension kernel (1 = serial);
-            # scenarios declare it via ``benchmark.extra_info``.
-            "extension_workers": bench.get("extra_info", {}).get(
-                "extension_workers", 1
-            ),
-        }
-        for bench in raw["benchmarks"]
-    }
+    benchmarks = distill(raw)
     return {
         "suite": suite,
         "quick": quick,
@@ -147,11 +135,44 @@ def run_suite(
         "calibration_s": calibrate(),
         "peak_rss_kb": peak_rss_kb,
         "benchmarks": benchmarks,
+        "measured_extra_keys": sorted(
+            {key for stats in benchmarks.values() for key in stats}
+            - _MEASURED_KEYS
+        ),
     }
 
 
+def distill(raw: dict) -> dict:
+    """Per-test entries of a raw pytest-benchmark JSON report.
+
+    Each entry holds the timing stats plus every numeric ``extra_info``
+    field its scenario declared (worker counts, latency percentiles,
+    derived speedups): all of them are measurements of this run.
+    """
+    benchmarks = {}
+    for bench in raw["benchmarks"]:
+        entry = {
+            "mean_s": bench["stats"]["mean"],
+            "min_s": bench["stats"]["min"],
+            "rounds": bench["stats"]["rounds"],
+            # Worker count of the sharded extension kernel (1 = serial).
+            "extension_workers": 1,
+        }
+        for key, value in bench.get("extra_info", {}).items():
+            if (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            ):
+                entry[key] = value
+        benchmarks[bench["name"]] = entry
+    return benchmarks
+
+
 #: Per-entry keys produced by the run itself; everything else in a baseline
-#: entry is an annotation eligible for carry-forward.
+#: entry is an annotation eligible for carry-forward.  The ``extra_info``
+#: keys a run copied in are measured too: the record lists them under
+#: ``measured_extra_keys``, and the carry skips them.
 _MEASURED_KEYS = {"mean_s", "min_s", "rounds", "extension_workers"}
 
 
@@ -159,13 +180,19 @@ def carry_annotations(record: dict, baseline: dict) -> int:
     """Copy historical annotations from ``baseline`` into ``record``.
 
     For every benchmark present in both files, annotation keys (anything
-    beyond the freshly measured ``mean_s``/``min_s``/``rounds``, except the
-    stale ``speedup_vs_*`` ratios) are carried forward, and every carried
+    beyond the freshly measured ``mean_s``/``min_s``/``rounds`` and the
+    ``extra_info`` measurements of either run, except the stale
+    ``speedup_vs_*`` ratios) are carried forward, and every carried
     ``<era>_mean_s`` gets its ``speedup_vs_<era>`` recomputed against the
     fresh mean — so re-recording never loses the seed/PR-N trajectory.
     Returns the number of entries that received annotations.
     """
     carried = 0
+    measured = (
+        _MEASURED_KEYS
+        | set(baseline.get("measured_extra_keys", ()))
+        | set(record.get("measured_extra_keys", ()))
+    )
     for name, stats in record["benchmarks"].items():
         base = baseline["benchmarks"].get(name)
         if base is None:
@@ -173,7 +200,9 @@ def carry_annotations(record: dict, baseline: dict) -> int:
         annotations = {
             key: value
             for key, value in base.items()
-            if key not in _MEASURED_KEYS and not key.startswith("speedup_vs_")
+            if key not in measured
+            and key not in stats
+            and not key.startswith("speedup_vs_")
         }
         if not annotations:
             continue

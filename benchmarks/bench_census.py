@@ -8,7 +8,7 @@ reconstruction.
 
 The sweep-engine entries measure the sharded execution paths added for the
 oblivious-adversary studies (Winkler et al., arXiv:2202.12397): the serial
-engine path (shared per-shard interner + memoized level extensions) and the
+engine path (shared per-shard interner) and the
 4-worker process fan-out.  The two-process family itself finishes in a few
 milliseconds, so process fan-out can only lose there — the multi-core win
 is measured on the heavier random rooted n=5 family, and the "parallel

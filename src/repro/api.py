@@ -9,9 +9,9 @@ library's workflow around four ideas:
 * :class:`~repro.consensus.solvability.CheckOptions` — the checker's
   tuning knobs as one value object, instead of a pile of kwargs.
 * :class:`Session` — owns per-``n`` view interners plus default options,
-  so consecutive checks share view tables and memoized level extensions
-  the way a sweep shard does; ``session.check(...)`` accepts specs or
-  live adversaries, ``session.sweep(...)`` fans a family out through any
+  so consecutive checks share view tables the way a sweep shard does;
+  ``session.check(...)`` accepts specs or live adversaries,
+  ``session.sweep(...)`` fans a family out through any
   :class:`~repro.backends.SweepBackend` — including the crash-tolerant
   :class:`~repro.fleet.FleetBackend`.
 * :class:`~repro.records.RunRecord` — the single versioned result schema
@@ -126,8 +126,8 @@ class Session:
 
     Views depend only on inputs and in-neighborhoods, never on the
     adversary, so every check the session runs for the same process count
-    shares one :class:`~repro.core.views.ViewInterner` — including its
-    memoized ``(level, graph)`` extension cache.  Checking a family
+    shares one :class:`~repro.core.views.ViewInterner`: a view interned by
+    one check is found, not rebuilt, by the next.  Checking a family
     through one session therefore costs what one sweep shard costs,
     instead of rebuilding view tables per call.
 
@@ -136,10 +136,6 @@ class Session:
     options:
         Default :class:`CheckOptions` for every check (individual calls
         may override).
-    memo_extensions:
-        Default for the interner-sharing memo when the per-call options
-        leave it ``None``; the session shares interners by design, so the
-        default here is ``True``.
     store:
         Optional content-addressed result store
         (:class:`~repro.store.cache.ResultStore`, or a path that opens
@@ -154,12 +150,9 @@ class Session:
     def __init__(
         self,
         options: CheckOptions | None = None,
-        memo_extensions: bool = True,
         store: ResultStore | str | Path | None = None,
     ) -> None:
         self.options = options or CheckOptions()
-        if self.options.memo_extensions is None:
-            self.options = self.options.replace(memo_extensions=memo_extensions)
         self.store: ResultStore | None
         if store is None or isinstance(store, ResultStore):
             self.store = store

@@ -73,13 +73,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     adversary = _resolve(args.adversary)
     interner = ViewInterner(adversary.n) if args.stats else None
-    # The interner here is for observability only: keep the extension memo
-    # at its default-off setting so --stats measures the same run shape.
     result = check_consensus(
-        adversary,
-        max_depth=args.max_depth,
-        interner=interner,
-        memo_extensions=False if interner is not None else None,
+        adversary, max_depth=args.max_depth, interner=interner
     )
     print(result.explain())
     if interner is not None:

@@ -222,7 +222,7 @@ def _classify(
     else:
         # Serial path: share one interner per process count across the
         # family, exactly as a sweep shard would — same-n jobs reuse view
-        # tables and the memoized level extensions.
+        # tables.
         from repro.core.views import ViewInterner
 
         interners: dict[int, ViewInterner] = {}

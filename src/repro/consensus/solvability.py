@@ -76,10 +76,11 @@ class CheckOptions:
     use_impossibility_provers / use_broadcaster_certificate:
         Allow disabling individual certificates (useful for ablations).
     memo_extensions:
-        Forwarded to :class:`~repro.topology.prefixspace.PrefixSpace`;
-        ``None`` keeps its default (memoize exactly when the interner is
-        shared).  ``False`` when the interner is provided only for
-        observability, not cross-space reuse.
+        Accepted and ignored.  It used to switch a ``(level, graph)``
+        extension cache that no longer exists (interning already makes
+        re-extension idempotent); the field stays so existing callers and
+        manifests that carry the key keep working.  It is not part of the
+        result-store key.
     layer_backend:
         Columnar-pipeline kernel backend for interners created by the
         checker (``"numpy"``/``"python"``; ``None`` = import-time
@@ -324,15 +325,14 @@ def check_consensus(
     max_nodes: int | object = _UNSET,
     use_impossibility_provers: bool | object = _UNSET,
     use_broadcaster_certificate: bool | object = _UNSET,
-    memo_extensions: bool | None | object = _UNSET,
     options: CheckOptions | None = None,
 ) -> SolvabilityResult:
     """Decide consensus solvability under a message adversary.
 
     This is the keyword-compatibility wrapper over
     :func:`check_consensus_with_options`: the tuning keywords
-    (``max_depth=10``, ``max_nodes=2_000_000``, the certificate toggles,
-    ``memo_extensions`` — defaults as in :class:`CheckOptions`) are folded
+    (``max_depth=10``, ``max_nodes=2_000_000``, the certificate toggles —
+    defaults as in :class:`CheckOptions`) are folded
     into a :class:`CheckOptions`, overriding ``options`` field-by-field
     when both are given.  New code should pass ``options`` (or use
     :class:`repro.api.Session`).
@@ -364,7 +364,6 @@ def check_consensus(
             ("max_nodes", max_nodes),
             ("use_impossibility_provers", use_impossibility_provers),
             ("use_broadcaster_certificate", use_broadcaster_certificate),
-            ("memo_extensions", memo_extensions),
         )
         if value is not _UNSET
     }
@@ -392,7 +391,6 @@ def check_consensus_with_options(
     max_nodes = options.max_nodes
     use_impossibility_provers = options.use_impossibility_provers
     use_broadcaster_certificate = options.use_broadcaster_certificate
-    memo_extensions = options.memo_extensions
     spec = spec or ConsensusSpec()
     if input_vectors is None:
         input_vectors = all_assignments(adversary.n, spec.domain)
@@ -432,7 +430,6 @@ def check_consensus_with_options(
         input_vectors=input_vectors,
         interner=interner,
         max_nodes=max_nodes,
-        memo_extensions=memo_extensions,
         layer_backend=options.layer_backend,
         plan_cache_size=options.plan_cache_size,
         extension_workers=options.extension_workers,

@@ -11,10 +11,10 @@ ingredients:
    CheckOptions` (:data:`SEMANTIC_OPTION_FIELDS`): the fields that can
    change a verdict or certificate.  Observability and accelerator knobs
    (``layer_backend``, ``extension_workers``, ``plan_cache_size``,
-   ``memo_extensions``) are deliberately excluded — backend parity is a
-   tested invariant of the library, so a record computed by the numpy
-   kernel is byte-identical (timing zeroed) to the pure-python one and
-   may be served to either;
+   the ignored ``memo_extensions``) are deliberately excluded — backend
+   parity is a tested invariant of the library, so a record computed by
+   the numpy kernel is byte-identical (timing zeroed) to the pure-python
+   one and may be served to either;
 3. the run-record schema version (:data:`repro.schemas.RUN_RECORD`) —
    a schema bump must never serve old-shape records;
 4. the checker :data:`KERNEL_EPOCH` — bumped whenever checker semantics

@@ -20,8 +20,9 @@ Layers are stored *columnar* (:class:`LayerStore`) and stay arrays end to
 end: the view levels of a layer are one flat
 :class:`~repro.core.views.LayerTable` column (``count * n`` interned view
 ids), parent and input indices are machine-integer columns, and the
-round-graph/state columns of single-alphabet layers are constant-width
-tiles that never materialize per-child Python objects.  This is the
+round-graph/state columns never materialize per-child Python objects:
+single-alphabet layers store a constant-width tile, state-grouped layers
+a small item table plus one integer code per prefix.  This is the
 representation the hot analyses (components, decision tables,
 ε-approximations) consume directly — the whole-layer extension kernel
 produces it, the component analysis unions over it, and the decision-table
@@ -47,10 +48,7 @@ indices.  The contract:
   :class:`~repro.errors.AnalysisError`;
 * :class:`PrefixNode` / :class:`~repro.core.ptg.PTGPrefix` materialization
   needs the graph history of *every* ancestor layer, so it is unavailable
-  in frontier mode altogether (it raises once any ancestor is condensed);
-* frontier-mode extension skips the interner's ``(level, graph)`` memo so
-  depth-14+ runs hold the frontier plus the interner's view tables and
-  nothing else.
+  in frontier mode altogether (it raises once any ancestor is condensed).
 
 ``retain="all"`` (the default) keeps every layer, exactly as before.
 """
@@ -58,7 +56,8 @@ indices.  The contract:
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.adversaries.base import MessageAdversary
 from repro.core.inputs import (
@@ -73,6 +72,7 @@ from repro.core.views import (
     ViewInterner,
     int64_column,
     numpy_module,
+    plain_ids,
 )
 from repro.errors import AnalysisError
 
@@ -140,14 +140,10 @@ class _TiledColumn(Sequence):
         return len(self.items) * self.repeats
 
     def __getitem__(self, item):
+        width = len(self.items)
         if isinstance(item, slice):
-            return [self[i] for i in range(*item.indices(len(self)))]
-        size = len(self)
-        if item < 0:
-            item += size
-        if not 0 <= item < size:
-            raise IndexError(item)
-        return self.items[item % len(self.items)]
+            return [self.items[i % width] for i in range(len(self))[item]]
+        return self.items[range(len(self))[item] % width]
 
     def __iter__(self):
         items = self.items
@@ -156,6 +152,40 @@ class _TiledColumn(Sequence):
 
     def __repr__(self) -> str:
         return f"_TiledColumn({self.items!r} x {self.repeats})"
+
+
+class _CodedColumn(Sequence):
+    """A dictionary-coded column: ``column[i] == items[codes[i]]``.
+
+    State-grouped layers store a small table of distinct graphs or state
+    sets once plus one int64 code per prefix (numpy or ``array('q')``), so
+    grouping the next layer's parents by state is a pass over the codes.
+    """
+
+    __slots__ = ("items", "codes")
+
+    def __init__(self, items: list, codes) -> None:
+        self.items = items
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self.items[c] for c in self.codes[item]]
+        return self.items[self.codes[item]]
+
+    def __iter__(self):
+        return map(self.items.__getitem__, plain_ids(self.codes))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_CodedColumn({len(self.items)} items, {len(self)} codes)"
 
 
 class LayerStore:
@@ -175,9 +205,13 @@ class LayerStore:
         kinds as ``parents``).
     graphs:
         Per prefix, the communication graph of the last round (``None`` on
-        the root layer); a tiled column on single-alphabet layers.
+        the root layer).  Single-alphabet layers store a tiled column (the
+        per-parent tile repeated); state-grouped layers a coded column: a
+        small table of distinct graphs plus one integer code per prefix.
     states:
-        Per prefix, the adversary's reachable state set (tiled likewise).
+        Per prefix, the adversary's reachable state set (tiled or coded
+        likewise; the codes of a coded state column are what the next
+        extension groups parents by).
     """
 
     __slots__ = ("levels", "parents", "input_idx", "graphs", "states", "nodes", "count")
@@ -235,17 +269,10 @@ class LayerView(Sequence):
         return len(self._space._stores[self._depth])
 
     def __getitem__(self, item):
+        indices = range(len(self))[item]
         if isinstance(item, slice):
-            return [
-                self._space._materialize(self._depth, i)
-                for i in range(*item.indices(len(self)))
-            ]
-        size = len(self)
-        if item < 0:
-            item += size
-        if not 0 <= item < size:
-            raise IndexError(item)
-        return self._space._materialize(self._depth, item)
+            return [self._space._materialize(self._depth, i) for i in indices]
+        return self._space._materialize(self._depth, indices)
 
     def __iter__(self) -> Iterator[PrefixNode]:
         materialize = self._space._materialize
@@ -277,13 +304,6 @@ class PrefixSpace:
         ``"all"`` (default) keeps every constructed layer; ``"frontier"``
         condenses historical layers to parents + input indices as the
         frontier advances (see module docstring for the eviction contract).
-    memo_extensions:
-        Whether layer extension populates the interner's ``(level, graph)``
-        memo so other spaces sharing the interner reuse the work.  Defaults
-        to ``None`` = "memoize exactly when an interner was passed in and
-        layers are retained" (a shared interner signals cross-space reuse,
-        e.g. the sweep engine; frontier mode keeps the memo off so memory
-        stays frontier-bounded).
     layer_backend:
         Columnar-pipeline kernel backend (``"numpy"``/``"python"``/``None``
         for the import-time default) of the interner this space creates
@@ -317,7 +337,6 @@ class PrefixSpace:
         interner: ViewInterner | None = None,
         max_nodes: int = 2_000_000,
         retain: str = "all",
-        memo_extensions: bool | None = None,
         layer_backend: str | None = None,
         plan_cache_size: int | None = None,
         extension_workers: int | None = None,
@@ -326,9 +345,6 @@ class PrefixSpace:
         if retain not in ("all", "frontier"):
             raise AnalysisError(f"retain must be 'all' or 'frontier', got {retain!r}")
         self.retain = retain
-        if memo_extensions is None:
-            memo_extensions = interner is not None and retain == "all"
-        self.memo_extensions = memo_extensions
         # Not ``interner or ...``: an empty interner is falsy via __len__
         # and must still be adopted (the sweep engine shares fresh ones).
         if interner is None:
@@ -395,47 +411,36 @@ class PrefixSpace:
         Parents are grouped by the adversary's reachable state set —
         oblivious adversaries collapse the whole layer into one group,
         stabilizing/eventually-forever adversaries into a few state-keyed
-        groups — and each group's successor levels are interned by one
-        whole-layer kernel call
+        groups, in order of first occurrence — and each group's successor
+        levels are interned by one whole-layer kernel call
         (:meth:`~repro.core.views.ViewInterner.extend_layer_table`), whose
-        column output is interleaved straight into the child layer's flat
-        columns.  Children are emitted in the same parent-major,
-        alphabet-minor order as always, so layer indexing is unchanged.
+        column output goes straight into the child layer's flat columns.
+        Children are emitted in the same parent-major, alphabet-minor
+        order as always, so layer indexing is unchanged.
         """
         current = self._stores[-1]
         if current.condensed:
             raise AnalysisError("cannot extend: the frontier layer was condensed")
         adversary = self.adversary
-        extensions = adversary.admissible_extensions
-        alphabet_of = adversary.extension_alphabet
-        memo = self.memo_extensions
-        cur_table = current.levels
-        cur_states = current.states
         count = len(current)
-        # Group parent indices by state set (insertion order for
-        # deterministic kernel-call order; state sets are cached frozensets
-        # so grouping is dict probes on shared objects).  Tiled state
-        # columns with one distinct tile — every oblivious layer — skip the
-        # per-parent pass entirely.
-        groups: dict[frozenset, list[int] | None]
-        if isinstance(cur_states, _TiledColumn) and len(set(cur_states.items)) == 1:
-            groups = {cur_states.items[0]: None}  # None = the whole layer
-        else:
-            groups = {}
-            for i, node_states in enumerate(cur_states):
-                members = groups.get(node_states)
-                if members is None:
-                    groups[node_states] = [i]
-                else:
-                    members.append(i)
+        np = numpy_module() if self.interner.layer_backend == "numpy" else None
+        items, codes = _state_codes(current.states, np)
+        exts_of = [adversary.admissible_extensions(states) for states in items]
         # The node budget is checkable before any interning happens: every
-        # parent of a group contributes exactly one child per admissible
-        # extension of its state set.
-        child_count = sum(
-            len(extensions(states))
-            * (count if members is None else len(members))
-            for states, members in groups.items()
-        )
+        # parent contributes exactly one child per admissible extension of
+        # its state set.
+        width_of = [len(exts) for exts in exts_of]
+        widths: Any  # one count for the whole layer, else one per parent
+        if codes is None:
+            widths = width_of[0]
+            child_count = widths * count
+        elif np is not None:
+            widths = np.asarray(width_of, dtype=np.int64)[codes]
+            child_count = int(widths.sum())
+        else:
+            codes = plain_ids(codes)
+            widths = list(map(width_of.__getitem__, codes))
+            child_count = sum(widths)
         if child_count > self.max_nodes:
             raise AnalysisError(
                 f"prefix space exceeds max_nodes={self.max_nodes} at "
@@ -445,127 +450,109 @@ class PrefixSpace:
             raise AnalysisError(
                 f"{adversary.name}: no admissible extension at depth {self.depth}"
             )
-        if len(groups) == 1 and next(iter(groups.values())) is None:
-            store = self._extend_single_group(
-                cur_table, current, next(iter(groups)), memo
+        if codes is None:
+            # One kernel call over the whole layer; columns interleave flat.
+            tables = self.interner.extend_layer_table(
+                current.levels, adversary.extension_alphabet(items[0])
             )
+            levels = _interleave_tables(adversary.n, count, tables)
+            graphs = _TiledColumn([graph for graph, _ in exts_of[0]], count)
+            states = _TiledColumn([nxt for _, nxt in exts_of[0]], count)
         else:
-            store = self._extend_grouped(cur_table, current, groups, memo)
-        self._stores.append(store)
+            levels, graphs, states = self._extend_grouped(
+                current.levels, items, codes, exts_of, widths, child_count, np
+            )
+        if np is not None:
+            parents = np.repeat(np.arange(count, dtype=np.int64), widths)
+            input_idx = np.repeat(current.input_array(), widths)
+        elif codes is None:
+            parents = array("q", bytes(8 * child_count))
+            input_idx = array("q", bytes(8 * child_count))
+            base = array("q", range(count))
+            for j in range(widths):
+                parents[j::widths] = base
+                input_idx[j::widths] = current.input_idx
+        else:
+            parents = array("q", chain.from_iterable(map(repeat, range(count), widths)))
+            input_idx = array(
+                "q", chain.from_iterable(map(repeat, current.input_idx, widths))
+            )
+        self._stores.append(LayerStore(levels, parents, input_idx, graphs, states))
         if self.retain == "frontier":
             self._stores[-2].condense()
 
-    def _extend_single_group(
-        self, cur_table: LayerTable, current: LayerStore, node_states, memo: bool
-    ) -> LayerStore:
-        """One kernel call over the whole layer; columns interleave flat."""
-        adversary = self.adversary
-        exts = adversary.admissible_extensions(node_states)
-        alphabet = adversary.extension_alphabet(node_states)
-        interner = self.interner
-        n = adversary.n
-        count = len(cur_table)
-        width = len(exts)
-        if memo:
-            # The (level, graph) memo is keyed by level tuples, so this
-            # path materializes them (shared-interner interactive use).
-            by_graph = interner.extend_layer(cur_table.tolist(), alphabet, True)
-            flat = array("q")
-            for i in range(count):
-                for column in by_graph:
-                    flat.extend(column[i])
-            child_table = LayerTable(n, flat)
-        else:
-            tables = interner.extend_layer_table(cur_table, alphabet)
-            child_table = _interleave_tables(n, count, tables)
-        np = numpy_module()
-        if np is not None and isinstance(child_table.ids, np.ndarray):
-            parents = np.repeat(np.arange(count, dtype=np.int64), width)
-            input_idx = np.repeat(current.input_array(), width)
-        else:
-            parents = array("q", bytes(8 * count * width))
-            input_idx = array("q", bytes(8 * count * width))
-            base = array("q", range(count))
-            cur_inputs = current.input_idx
-            if not isinstance(cur_inputs, array):
-                cur_inputs = array("q", cur_inputs)
-            for j in range(width):
-                parents[j::width] = base
-                input_idx[j::width] = cur_inputs
-        return LayerStore(
-            levels=child_table,
-            parents=parents,
-            input_idx=input_idx,
-            graphs=_TiledColumn([graph for graph, _ in exts], count),
-            states=_TiledColumn([nxt for _, nxt in exts], count),
-        )
-
     def _extend_grouped(
-        self, cur_table: LayerTable, current: LayerStore, groups: dict, memo: bool
-    ) -> LayerStore:
-        """One whole-layer kernel call per state group, merged parent-major."""
-        adversary = self.adversary
-        extensions = adversary.admissible_extensions
-        alphabet_of = adversary.extension_alphabet
-        interner = self.interner
-        n = adversary.n
-        count = len(cur_table)
-        exts_of: list = [None] * count
-        cols_of: list = [None] * count
-        pos_of: list = [0] * count
-        for node_states, members in groups.items():
-            if members is None:
-                members = range(count)
-            exts = extensions(node_states)
-            if not exts:
-                continue
-            sub = _gather_subtable(cur_table, members)
-            alphabet = alphabet_of(node_states)
-            if memo:
-                by_graph = interner.extend_layer(sub.tolist(), alphabet, True)
-                group_cols = [
-                    LayerTable.from_levels(n, column).ids for column in by_graph
-                ]
-            else:
-                group_cols = [
-                    t.ids for t in interner.extend_layer_table(sub, alphabet)
-                ]
-            for mi, i in enumerate(members):
-                exts_of[i] = exts
-                cols_of[i] = group_cols
-                pos_of[i] = mi
-        flat = array("q")
-        parents = array("q")
-        input_idx = array("q")
-        graphs: list = []
-        states_col: list = []
-        parents_append = parents.append
-        input_append = input_idx.append
-        graphs_append = graphs.append
-        states_append = states_col.append
-        cur_inputs = current.input_idx
-        for i, exts in enumerate(exts_of):
-            if exts is None:
-                continue
-            inp = cur_inputs[i]
-            group_cols = cols_of[i]
-            base = pos_of[i] * n
-            for (graph, nxt_states), column in zip(exts, group_cols):
-                chunk = column[base : base + n]
-                flat.extend(
-                    chunk.tolist() if not isinstance(chunk, (array, list)) else chunk
-                )
-                parents_append(i)
-                input_append(inp)
-                graphs_append(graph)
-                states_append(nxt_states)
-        return LayerStore(
-            levels=LayerTable(n, flat),
-            parents=parents,
-            input_idx=input_idx,
-            graphs=graphs,
-            states=states_col,
-        )
+        self, cur_table: LayerTable, items, codes, exts_of, widths, child_count, np
+    ) -> tuple:
+        """One kernel call per state group, merged parent-major.
+
+        ``codes[i]`` is parent ``i``'s state group (an index into
+        ``items``) and ``widths[i]`` its child count.  Child offsets are
+        the cumulative sum of the widths, so the levels of group ``g`` and
+        graph ``j`` land at rows ``starts[members] + j`` of the child
+        block.  Returns the child levels and the coded graph and state
+        columns.
+        """
+        alphabet_of = self.adversary.extension_alphabet
+        extend_layer_table = self.interner.extend_layer_table
+        n = cur_table.n
+        # Kernel calls (and hence view interning) follow the groups' first
+        # occurrence among the parents.
+        if np is not None:
+            present, first = np.unique(codes, return_index=True)
+            order = present[np.argsort(first)].tolist()
+        else:
+            order = list(dict.fromkeys(codes))
+        # The groups' extension lists concatenated in group order: child
+        # ``k`` of a parent in group ``g`` takes entry ``base_of[g] + k``.
+        base_of = [0] * len(items)
+        exts: list = []
+        for code in order:
+            base_of[code] = len(exts)
+            exts.extend(exts_of[code])
+        if np is not None:
+            level_matrix = cur_table.array()
+            starts = np.cumsum(widths) - widths
+            block = np.empty((child_count, n), dtype=np.int64)
+            for code in order:
+                if not exts_of[code]:
+                    continue  # liveness-pruned: these parents end here
+                members = np.flatnonzero(codes == code)
+                sub = LayerTable(n, level_matrix[members].reshape(-1))
+                rows = starts[members]
+                tables = extend_layer_table(sub, alphabet_of(items[code]))
+                for j, table in enumerate(tables):
+                    block[rows + j] = table.array()
+            levels = LayerTable(n, block.reshape(-1))
+            ext_codes = np.repeat(
+                np.asarray(base_of, dtype=np.int64)[codes] - starts, widths
+            ) + np.arange(child_count, dtype=np.int64)
+        else:
+            # One pass gathers each group's parent rows, the kernel turns
+            # them into runs of children, one pass copies each parent's run
+            # back in parent order.
+            ids = cur_table.ids
+            runs = {code: array("q") for code in order}
+            for code, start in zip(codes, range(0, len(ids), n)):
+                runs[code] += ids[start : start + n]
+            for code in order:
+                if exts_of[code]:
+                    sub = LayerTable(n, runs[code])
+                    tables = extend_layer_table(sub, alphabet_of(items[code]))
+                    runs[code] = _interleave_tables(n, len(sub), tables).ids
+            flat = array("q")
+            cursor = [0] * len(items)
+            span_of = [len(group_exts) * n for group_exts in exts_of]
+            for code in codes:
+                pos = cursor[code]
+                end = cursor[code] = pos + span_of[code]
+                flat += runs[code][pos:end]
+            levels = LayerTable(n, flat)
+            ext_runs = [range(b, b + len(e)) for b, e in zip(base_of, exts_of)]
+            ext_codes = array("q", chain.from_iterable(map(ext_runs.__getitem__, codes)))
+        graphs = _coded_column([graph for graph, _ in exts], ext_codes, np)
+        states = _coded_column([nxt for _, nxt in exts], ext_codes, np)
+        return levels, graphs, states
 
     def ensure_depth(self, t: int) -> None:
         """Construct layers up to depth ``t``."""
@@ -724,25 +711,38 @@ def _interleave_tables(n: int, count: int, tables: list[LayerTable]) -> LayerTab
     flat = array("q", bytes(8 * count * width * n))
     stride = width * n
     for j, t in enumerate(tables):
-        col = t.ids
-        if not isinstance(col, array):
-            col = array("q", col)
         for p in range(n):
-            flat[j * n + p :: stride] = col[p::n]
+            flat[j * n + p :: stride] = t.ids[p::n]
     return LayerTable(n, flat)
 
 
-def _gather_subtable(table: LayerTable, members) -> LayerTable:
-    """The sub-table of the given parent indices (order-preserving)."""
-    n = table.n
-    if isinstance(members, range) and members == range(len(table)):
-        return table
-    ids = table.ids
-    np = numpy_module()
-    if np is not None and isinstance(ids, np.ndarray):
-        return LayerTable(n, ids.reshape(-1, n)[list(members)].reshape(-1))
-    flat = array("q")
-    for i in members:
-        chunk = ids[i * n : (i + 1) * n]
-        flat.extend(chunk)
-    return LayerTable(n, flat)
+def _distinct(entries: list) -> tuple[list, list[int]]:
+    """The distinct entries in first-occurrence order, and each one's index."""
+    index: dict = {}
+    codes = [index.setdefault(entry, len(index)) for entry in entries]
+    return list(index), codes
+
+
+def _state_codes(states, np) -> tuple[list, Any]:
+    """Distinct state sets of a layer and each parent's code into them.
+
+    The codes are ``None`` when the whole layer shares one state set.  A
+    tile may repeat a set, so tiled columns map the tile onto the distinct
+    sets; coded columns are distinct already.
+    """
+    if isinstance(states, _CodedColumn):
+        return states.items, states.codes if len(states.items) > 1 else None
+    items, tile = _distinct(states.items)
+    if len(items) == 1:
+        return items, None
+    if np is not None:
+        return items, np.tile(np.asarray(tile, dtype=np.int64), states.repeats)
+    return items, array("q", tile) * states.repeats
+
+
+def _coded_column(entries: list, ext_codes, np) -> _CodedColumn:
+    """The column ``entries[ext_codes[i]]``, coded over its distinct items."""
+    items, codes = _distinct(entries)
+    if np is not None:
+        return _CodedColumn(items, np.asarray(codes, dtype=np.int64)[ext_codes])
+    return _CodedColumn(items, array("q", map(codes.__getitem__, ext_codes)))

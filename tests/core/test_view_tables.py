@@ -6,7 +6,7 @@ keys) replaced the PR-1 dict-of-tuples storage.  These property tests pin
 the new tables to a self-contained reimplementation of the dict interner:
 identical id allocation, owners, depths, origin masks, origin values,
 children, and stats on randomized construction sequences — plus the
-memoized extension path and the new table-geometry stats.
+idempotence of re-extension and the table-geometry stats.
 """
 
 import random
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.digraph import Digraph
-from repro.core.views import ViewInterner
+from repro.core.views import ViewInterner, numpy_available
 from repro.errors import AnalysisError
 
 # --------------------------------------------------------------------- #
@@ -129,7 +129,7 @@ def _random_graphs(rng, n, count):
     return graphs
 
 
-def _run_script(interner, script, multi_memo=None):
+def _run_script(interner, script):
     """Drive one interner through a script, returning all produced ids."""
     n, vectors, seed, rounds, alphabet_size = script
     rng = random.Random(seed)
@@ -140,12 +140,9 @@ def _run_script(interner, script, multi_memo=None):
         alphabet = _random_graphs(rng, n, alphabet_size)
         nxt = []
         for level in levels:
-            if multi_memo is None:
-                extended = interner.extend_level_multi(level, alphabet)
-            else:
-                extended = interner.extend_level_multi(level, alphabet, memo=multi_memo)
+            extended = interner.extend_level_multi(level, alphabet)
             nxt.extend(extended)
-            # Exercise the single-graph (memoized) path too.
+            # Exercise the single-graph path too.
             assert interner.extend_level(level, alphabet[0]) == extended[0]
         levels = nxt
         produced.extend(vid for level in levels for vid in level)
@@ -175,14 +172,19 @@ def test_ids_and_columns_match_dict_reference(script):
 
 
 @settings(max_examples=60, deadline=None)
-@given(construction_scripts())
-def test_memoized_extensions_are_equivalent(script):
-    """memo=True must produce identical ids/levels as the uncached path."""
+@given(
+    construction_scripts(),
+    st.sampled_from(["python"] + (["numpy"] if numpy_available() else [])),
+)
+def test_reextension_is_idempotent(script, backend):
+    """Re-running a script returns the same ids and interns nothing new."""
     n = script[0]
-    plain = ViewInterner(n)
-    memoized = ViewInterner(n)
-    assert _run_script(plain, script) == _run_script(memoized, script, multi_memo=True)
-    assert memoized.stats().cached_extensions >= plain.stats().cached_extensions
+    interner = ViewInterner(n, layer_backend=backend)
+    first = _run_script(interner, script)
+    size = len(interner)
+    assert _run_script(interner, script) == first
+    assert len(interner) == size
+    assert interner.stats().cached_extensions == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +249,7 @@ def test_stats_report_table_geometry():
     assert grown.total == 4
     assert grown.leaves == 2
     assert grown.rows == 2
-    assert grown.cached_extensions == 1
+    assert grown.cached_extensions == 0
     assert grown.approx_bytes > stats.approx_bytes
 
 

@@ -94,6 +94,18 @@ def test_observability_options_do_not_change_the_key():
         assert cache_key(SPEC, variant) == base
 
 
+def test_ignored_memo_extensions_key_leaves_the_key_unchanged():
+    """Options loaded from manifests with and without the key share a key."""
+    without = OPTIONS.to_dict()
+    del without["memo_extensions"]
+    base = cache_key(SPEC, CheckOptions.from_dict(without))
+    assert base == cache_key(SPEC, OPTIONS)
+    for value in (True, False, None):
+        loaded = CheckOptions.from_dict({**without, "memo_extensions": value})
+        assert cache_key(SPEC, loaded) == base
+    assert "memo_extensions" not in json.dumps(key_payload(SPEC, OPTIONS))
+
+
 def test_spec_family_params_and_seed_all_change_the_key():
     base = cache_key(SPEC, OPTIONS)
     other_seed = AdversarySpec("random-oblivious", {"n": 2, "size": 2}, seed=12)

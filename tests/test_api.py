@@ -209,6 +209,26 @@ class TestCheckOptions:
         options = CheckOptions(max_depth=4, memo_extensions=False)
         assert CheckOptions.from_dict(options.to_dict()) == options
 
+    def test_memo_extensions_is_accepted_and_ignored(self):
+        from repro.consensus.solvability import check_consensus_with_options
+        from repro.core.views import ViewInterner
+
+        old_manifest = {"max_depth": 3, "memo_extensions": True}
+        assert CheckOptions.from_dict(old_manifest).memo_extensions is True
+        assert CheckOptions.from_dict({"max_depth": 3}).memo_extensions is None
+        outcomes = []
+        for value in (None, True, False):
+            interner = ViewInterner(2)
+            result = check_consensus_with_options(
+                lossy_link_no_hub(),
+                CheckOptions(max_depth=3, memo_extensions=value),
+                interner=interner,
+            )
+            stats = interner.stats()
+            assert stats.cached_extensions == 0
+            outcomes.append((result.explain(), stats.total, stats.rows))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(AnalysisError, match="unknown CheckOptions"):
             CheckOptions.from_dict({"max_depth": 3, "bogus": 1})

@@ -185,27 +185,30 @@ class TestStreaming:
         with pytest.raises(AnalysisError):
             PrefixSpace(lossy_link_no_hub(), retain="sometimes")
 
-    def test_shared_interner_memoizes_extensions_across_spaces(self):
+    @pytest.mark.parametrize(
+        "adversary",
+        [lossy_link_full(), eventually_one_direction("->")],
+        ids=["oblivious", "grouped"],
+    )
+    def test_reextension_on_shared_interner(self, adversary):
         from repro.core.views import ViewInterner
 
         interner = ViewInterner(2)
-        first = PrefixSpace(lossy_link_full(), interner=interner)
-        assert first.memo_extensions is True
-        first.ensure_depth(3)
-        cached = interner.stats().cached_extensions
-        assert cached > 0
-        second = PrefixSpace(lossy_link_full(), interner=interner)
-        second.ensure_depth(3)
-        assert second.layer_store(3).levels == first.layer_store(3).levels
-        # The second space reuses the memo instead of growing it.
-        assert interner.stats().cached_extensions == cached
+        first = PrefixSpace(adversary, interner=interner)
+        first.ensure_depth(4)
+        views = len(interner)
+        second = PrefixSpace(adversary, interner=interner)
+        second.ensure_depth(4)
+        assert second.layer_store(4).levels == first.layer_store(4).levels
+        # The second space finds every view already interned.
+        assert len(interner) == views
+        assert interner.stats().cached_extensions == 0
 
     def test_frontier_mode_skips_extension_memo(self):
         from repro.core.views import ViewInterner
 
         interner = ViewInterner(2)
         space = PrefixSpace(lossy_link_full(), interner=interner, retain="frontier")
-        assert space.memo_extensions is False
         space.ensure_depth(3)
         assert interner.stats().cached_extensions == 0
 
