@@ -333,8 +333,8 @@ _NO_VALUE = object()
 def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     """Whole-layer value assignment: forced valences + broadcaster pass.
 
-    One stable argsort groups the layer's prefixes by component;
-    ``reduceat`` folds then answer, per component, everything
+    The analysis's component-grouped member order (the one sort of the
+    layer) drives ``reduceat`` folds that answer, per component, everything
     :meth:`ConsensusSpec.pick_value` asks member-by-member: the
     strong-validity allowed sets (AND of per-input-vector value bitmaps)
     and each broadcaster's input value (min/max folds over per-process
@@ -347,12 +347,8 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
     store = space.layer_store(analysis.depth)
     components = analysis.components
     ncomp = len(components)
-    comp_ids = analysis.comp_ids
-    member_order = np.argsort(comp_ids, kind="stable")
-    comp_starts = np.zeros(ncomp, dtype=np.int64)
-    np.cumsum(
-        np.bincount(comp_ids, minlength=ncomp)[:-1], out=comp_starts[1:]
-    )
+    member_order = analysis.member_order
+    comp_starts = analysis.comp_starts
     member_inputs = store.input_array()[member_order]
     input_vectors = space.input_vectors
     domain = spec.domain

@@ -29,10 +29,11 @@ per-prefix component-id column (``comp_ids``) plus per-component member
 index arrays.  Two equivalent paths sit behind the interner's
 ``layer_backend`` switch:
 
-* ``"numpy"`` — cells key as ``view_id * n + p`` in one vectorized pass;
-  connectivity is solved by pointer-jumping min-label propagation over the
-  sorted key groups (a few ``reduceat`` sweeps, no per-cell Python), and
-  the per-component masks/valences fold with ``reduceat`` as well;
+* ``"numpy"`` — per process column, a scatter/gather over the view ids
+  links every prefix to one representative sharing its ``(view, p)``
+  key; connectivity is solved on these star edges over the prefixes
+  alone (scipy's ``connected_components``, else a numpy root-hooking
+  loop), and the per-component masks/valences fold with ``reduceat``;
 * ``"python"`` — the batched union-find pass over the flat column (one
   dict probe per cell, inlined union by size with path halving).
 
@@ -56,10 +57,11 @@ from repro.topology.prefixspace import PrefixNode, PrefixSpace
 __all__ = ["Component", "ComponentAnalysis", "UnionFind"]
 
 #: Below this many (prefix, process) cells the vectorized component pass
-#: is not worth its fixed overhead (sparse-matrix construction, unique
-#: passes); small layers run the Python pass.  Crossover measured around
-#: ~1.5-2.5k cells on the lossy-link spaces.
-_COMPONENT_NUMPY_MIN_CELLS = 2048
+#: is not worth its fixed overhead; small layers run the Python pass.
+#: Measured per layer on the sweep-family layers (2-core x86): the passes
+#: break even at 512-1024 cells, numpy is 1.6x faster at 1024-1536 and 3x
+#: at 1536-2048, and Python is ~4x faster below 256.
+_COMPONENT_NUMPY_MIN_CELLS = 1024
 
 #: The vectorized pass encodes valence sets as int64 bitmaps; spaces with
 #: more distinct unanimity values run the Python pass instead.
@@ -70,15 +72,16 @@ def _scipy_csgraph():
     """scipy's sparse connected-components, when installed (else None).
 
     scipy is strictly optional (``dependencies = []`` holds): with it, the
-    bipartite (prefix, view-key) incidence solves in one C-level pass;
-    without it the vectorized Shiloach–Vishkin fallback below runs.
+    star-edge prefix graph solves in one C-level pass; without it the
+    numpy root-hooking fallback (:meth:`ComponentAnalysis._sv_labels`)
+    runs on the same edges.
     """
     try:
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
     except ImportError:  # pragma: no cover - exercised where scipy is absent
         return None
-    return coo_matrix, connected_components
+    return csr_matrix, connected_components
 
 
 class UnionFind:
@@ -224,6 +227,11 @@ class ComponentAnalysis:
         Per-prefix component-id column (int64 numpy array on the
         vectorized path, list on the Python path) — the columnar handoff
         the decision-table builder consumes.
+    member_order, comp_starts:
+        Vectorized path only (``None`` on the Python path): the prefix
+        indices grouped by component, ascending within each group, and
+        each group's start offset — the layer's one sort, which the
+        decision table's value assignment reuses.
 
     Examples
     --------
@@ -358,6 +366,7 @@ class ComponentAnalysis:
             for index in component._members:
                 comp_ids[index] = cid
         self.comp_ids = comp_ids
+        self.member_order = self.comp_starts = None
         # view bucket -> first node index (the universal algorithm's
         # lookup); the (p, view) -> component map is built lazily because
         # the solvability checker never queries it.
@@ -366,152 +375,133 @@ class ComponentAnalysis:
     def _analyze_numpy(self, np, store, table, interner, n: int, count: int) -> None:
         """Vectorized component pass over the flat layer column.
 
-        Cells key as ``view_id * n + p``; two prefixes are adjacent iff
-        they share a key, i.e. connectivity is that of the bipartite
-        (prefix, key) incidence.  With scipy installed the incidence
-        solves in one C-level ``connected_components`` pass; otherwise a
-        Shiloach–Vishkin-style loop runs in numpy (per round: key groups
-        take the minimum root of their cells via ``reduceat``, the
-        candidate hooks onto each prefix's *root*, and paths fully
-        compress — hooking onto roots is what lets a whole plateau adopt
-        a better label in one round, so convergence is logarithmic).
-        Labels are then canonicalized by smallest member index, matching
-        the Python pass ordering exactly.
+        Two prefixes are adjacent iff they share a ``(view, p)`` key.  Per
+        process column, one scatter ``rep[view] = cell`` and one gather
+        ``rep[view]`` give every prefix a representative holding the same
+        key; the star edges ``cell -> rep`` (self-loops kept, so the CSR
+        matrix has exactly ``n`` entries per row and builds without a COO
+        pass) span a graph over the ``count`` prefixes alone.  scipy's
+        weak ``connected_components`` solves it in one C-level pass;
+        without scipy, :meth:`_sv_labels` hooks roots along the same
+        edges.  Both number components in first-member order; an O(count)
+        check confirms it, and the unique/argsort remap runs only if it
+        fails.  Masks and valence bitmaps then fold with ``reduceat``.
         """
         mat = table.array()
         origin_masks = np.frombuffer(interner._origin_mask, dtype=np.int64)
-        node_masks = np.bitwise_and.reduce(origin_masks[mat], axis=1)
-        del origin_masks
-        keys = (mat * n + np.arange(n, dtype=np.int64)).reshape(-1)
+        index_dtype = np.int32 if count * n < 2**31 else np.int64
+        cells = np.arange(count, dtype=index_dtype)
+        reps = np.empty((count, n), dtype=index_dtype)
+        node_masks = np.full(count, full_mask(n), dtype=np.int64)
+        for p in range(n):
+            views = mat[:, p]
+            node_masks &= origin_masks[views]
+            shifted = views - views.min()
+            rep = np.empty(int(shifted.max()) + 1, dtype=index_dtype)
+            rep[shifted] = cells
+            reps[:, p] = rep[shifted]
+        del shifted, rep
         csgraph = _scipy_csgraph()
         if csgraph is not None:
-            coo_matrix, connected_components = csgraph
-            # A layer's view ids sit at the top of the interner's id
-            # space, so shifting by the minimum key keeps the node range
-            # dense without paying for a full np.unique remap.
-            min_key = int(keys.min())
-            max_key = int(keys.max())
-            cell_nodes = np.repeat(np.arange(count, dtype=np.int64), n)
-            dim = count + (max_key - min_key) + 1
-            incidence = coo_matrix(
-                (
-                    np.ones(len(keys), dtype=np.int8),
-                    (cell_nodes, count + (keys - min_key)),
-                ),
-                shape=(dim, dim),
+            csr_matrix, connected_components = csgraph
+            indptr = np.arange(0, count * n + 1, n, dtype=index_dtype)
+            graph = csr_matrix(
+                (np.ones(count * n), reps.reshape(-1), indptr), shape=(count, count)
             )
-            _, labels = connected_components(incidence, directed=False)
-            labels = labels[:count]
+            labels = connected_components(graph, directed=True, connection="weak")[1]
+            del graph, indptr
         else:
-            labels = self._sv_labels(np, keys, n, count)
-        del keys
+            cross = reps != cells[:, None]
+            src = np.broadcast_to(cells[:, None], reps.shape)[cross]
+            labels = self._sv_labels(np, src, reps[cross], count)
+            del cross, src
+        del reps
+        comp_ids = labels.astype(np.int64, copy=False)
+        running = np.maximum.accumulate(comp_ids)
+        if comp_ids[0] == 0 and not (np.diff(running) > 1).any():
+            ncomp = int(running[-1]) + 1
+        else:
+            _, first, inverse = np.unique(
+                comp_ids, return_index=True, return_inverse=True
+            )
+            ncomp = len(first)
+            remap = np.empty(ncomp, dtype=np.int64)
+            remap[np.argsort(first, kind="stable")] = np.arange(ncomp)
+            comp_ids = remap[inverse.reshape(-1)]
 
-        # Canonical component order = order of smallest member index,
-        # identical to the Python pass (and independent of the solver's
-        # internal label numbering).
-        roots, first, comp_ids = np.unique(
-            labels, return_index=True, return_inverse=True
-        )
-        remap = np.empty(len(roots), dtype=np.int64)
-        remap[np.argsort(first, kind="stable")] = np.arange(
-            len(roots), dtype=np.int64
-        )
-        comp_ids = remap[comp_ids.reshape(-1)].astype(np.int64, copy=False)
-        member_order = np.argsort(comp_ids, kind="stable")
-        comp_sizes = np.bincount(comp_ids, minlength=len(roots))
-        comp_starts = np.zeros(len(roots), dtype=np.int64)
-        np.cumsum(comp_sizes[:-1], out=comp_starts[1:])
-        comp_masks = np.bitwise_and.reduceat(node_masks[member_order], comp_starts)
-
-        # Valence bitmaps: unanimity values code into small ints once per
-        # space, then fold per component with one reduceat.
+        # Valence bitmaps: one bit per distinct unanimity value, coded per
+        # input vector once and gathered per prefix.
         space = self.space
         unanimity = space.unanimity_by_index
-        value_list: list = []
-        value_index: dict = {}
-        codes = []
-        for value in unanimity:
-            if value is None:
-                codes.append(-1)
-                continue
-            code = value_index.get(value)
-            if code is None:
-                code = value_index[value] = len(value_list)
-                value_list.append(value)
-            codes.append(code)
-        unan_codes = np.array(codes, dtype=np.int64)
-        node_codes = unan_codes[store.input_array()]
-        node_bits = np.where(
-            node_codes >= 0,
-            np.left_shift(1, np.maximum(node_codes, 0)),
-            0,
-        )
-        comp_bits = np.bitwise_or.reduceat(node_bits[member_order], comp_starts)
+        value_list = list(dict.fromkeys(v for v in unanimity if v is not None))
+        bit_of = {value: 1 << i for i, value in enumerate(value_list)}
+        input_bits = np.array([bit_of.get(v, 0) for v in unanimity], dtype=np.int64)
+        node_bits = input_bits[store.input_array()]
 
-        members_split = np.split(member_order, comp_starts[1:].tolist())
-        empty: frozenset = frozenset()
+        if ncomp == 1:
+            member_order = np.arange(count, dtype=np.int64)
+            comp_starts = np.zeros(1, dtype=np.int64)
+            members_split = [member_order]
+        else:
+            member_order = np.argsort(comp_ids, kind="stable")
+            comp_starts = np.zeros(ncomp, dtype=np.int64)
+            np.cumsum(
+                np.bincount(comp_ids, minlength=ncomp)[:-1], out=comp_starts[1:]
+            )
+            node_masks = node_masks[member_order]
+            node_bits = node_bits[member_order]
+            members_split = np.split(member_order, comp_starts[1:].tolist())
+        comp_masks = np.bitwise_and.reduceat(node_masks, comp_starts).tolist()
+        comp_bits = np.bitwise_or.reduceat(node_bits, comp_starts).tolist()
+
+        # Valence frozensets are interned per bitmap.
+        valences_of: dict[int, frozenset] = {0: frozenset()}
         depth = self.depth
         self.components = []
         components_append = self.components.append
-        for cid in range(len(roots)):
-            bits = int(comp_bits[cid])
-            if bits:
-                valences = frozenset(
-                    value_list[v] for v in range(len(value_list)) if bits >> v & 1
+        for cid, (members, bits, mask) in enumerate(
+            zip(members_split, comp_bits, comp_masks)
+        ):
+            valences = valences_of.get(bits)
+            if valences is None:
+                valences = valences_of[bits] = frozenset(
+                    value for i, value in enumerate(value_list) if bits >> i & 1
                 )
-            else:
-                valences = empty
-            components_append(
-                Component(
-                    component_id=cid,
-                    depth=depth,
-                    member_indices=members_split[cid],
-                    valences=valences,
-                    broadcast_mask=int(comp_masks[cid]),
-                    space=space,
-                )
-            )
+            components_append(Component(cid, depth, members, valences, mask, space))
         self.comp_ids = comp_ids
+        self.member_order = member_order
+        self.comp_starts = comp_starts
         # The (p, view) -> component lookup recomputes its key index
         # lazily from the store (cold path; the checker never calls it).
         self._buckets = None
 
     @staticmethod
-    def _sv_labels(np, keys, n: int, count: int):
-        """Shiloach–Vishkin-style connectivity in pure numpy (no scipy).
+    def _sv_labels(np, src, dst, count: int):
+        """Root-hooking connectivity in pure numpy (the no-scipy solver).
 
-        Per round: every key group takes the minimum *root* among its
-        cells (one ``reduceat`` over the key-sorted cells), every prefix
-        takes the minimum over its keys, the candidate hooks onto the
-        prefix's root (``np.minimum.at``), and parent pointers fully
-        compress.  Hooking onto roots lets whole plateaus adopt a better
-        label at once, so rounds are logarithmic in component diameter.
+        Takes the star edge list of :meth:`_analyze_numpy`.  Per round:
+        edges whose endpoints already share a root are dropped for good,
+        the larger root of every remaining edge hooks onto the smaller
+        (``np.minimum.at``), and parent pointers fully compress.  Roots
+        only ever hook downward, so each final root is its component's
+        smallest member, and ranking the roots yields labels already in
+        first-member order.
         """
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundary = np.empty(len(sorted_keys), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-        group_starts = np.flatnonzero(boundary)
-        group_sizes = np.diff(np.append(group_starts, len(sorted_keys)))
-        cell_node_sorted = order // n
         parent = np.arange(count, dtype=np.int64)
-        while True:
-            group_min = np.minimum.reduceat(
-                parent[cell_node_sorted], group_starts
-            )
-            cell_min = np.empty(count * n, dtype=np.int64)
-            cell_min[order] = np.repeat(group_min, group_sizes)
-            cand = cell_min.reshape(count, n).min(axis=1)
-            before = parent.copy()
-            np.minimum.at(parent, before, cand)
+        while len(src):
+            a = parent[src]
+            b = parent[dst]
+            cross = a != b
+            src, a, b = src[cross], a[cross], b[cross]
+            dst = dst[cross]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
             while True:
-                compressed = parent[parent]
-                if np.array_equal(compressed, parent):
+                grand = parent[parent]
+                if np.array_equal(grand, parent):
                     break
-                parent = compressed
-            if np.array_equal(parent, before):
-                return parent
+                parent = grand
+        is_root = parent == np.arange(count, dtype=np.int64)
+        return (np.cumsum(is_root) - 1)[parent]
 
     # ------------------------------------------------------------------ #
     # Lookup
