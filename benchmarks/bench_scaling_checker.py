@@ -19,8 +19,10 @@ from repro.adversaries import (
     random_oblivious_adversary,
     santoro_widmayer_family,
 )
+from repro.adversaries.heardof import no_split_adversary
 from repro.consensus import check_consensus
 from repro.consensus.decision import build_decision_table
+from repro.consensus.provers import find_nonbroadcastable_lasso
 from repro.consensus.solvability import (
     CheckOptions,
     check_consensus_with_options,
@@ -678,3 +680,31 @@ def test_scaling_n9_rooted_space(benchmark, backend):
         ],
     )
     assert size == 512 * 8**3
+
+
+# --------------------------------------------------------------------- #
+# Prover scenarios
+# --------------------------------------------------------------------- #
+
+
+def test_scaling_prover_lasso_quick(benchmark):
+    """Nobody-broadcast lasso search on heard-of n=4 no-split.
+
+    The large-alphabet path of the product search: 2156 letters, so with
+    numpy the one state of this oblivious adversary runs the numpy
+    per-node body.  The search is exact and finds no lasso (every
+    admissible sequence has a broadcaster).  The scenario id avoids the
+    substring "python": the without-numpy CI leg filters on it.
+    """
+    adversary = no_split_adversary(4)
+    adversary.live_states()
+
+    lasso = benchmark.pedantic(
+        lambda: find_nonbroadcastable_lasso(adversary), rounds=10, iterations=1
+    )
+    emit(
+        benchmark,
+        "scaling: nobody-broadcast lasso search, heard-of n=4 no-split",
+        [f"|D| = {len(adversary.graphs)} letters, lasso: {lasso}"],
+    )
+    assert lasso is None
