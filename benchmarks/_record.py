@@ -155,8 +155,6 @@ def distill(raw: dict) -> dict:
             "mean_s": bench["stats"]["mean"],
             "min_s": bench["stats"]["min"],
             "rounds": bench["stats"]["rounds"],
-            # Worker count of the sharded extension kernel (1 = serial).
-            "extension_workers": 1,
         }
         for key, value in bench.get("extra_info", {}).items():
             if (
@@ -173,7 +171,7 @@ def distill(raw: dict) -> dict:
 #: entry is an annotation eligible for carry-forward.  The ``extra_info``
 #: keys a run copied in are measured too: the record lists them under
 #: ``measured_extra_keys``, and the carry skips them.
-_MEASURED_KEYS = {"mean_s", "min_s", "rounds", "extension_workers"}
+_MEASURED_KEYS = {"mean_s", "min_s", "rounds"}
 
 
 def carry_annotations(record: dict, baseline: dict) -> int:

@@ -164,9 +164,8 @@ class Session:
         """The session's shared view interner for ``n`` processes.
 
         Created with the session options' ``layer_backend`` and
-        ``extension_workers``, so one switch configures the whole-layer
-        kernel — and its sharded multiprocess path — for every check the
-        session runs.
+        ``plan_cache_size``, so the session's options configure the
+        whole-layer kernel for every check it runs.
         """
         interner = self._interners.get(n)
         if interner is None:
@@ -174,7 +173,6 @@ class Session:
                 n,
                 layer_backend=self.options.layer_backend,
                 plan_cache_size=self.options.plan_cache_size,
-                extension_workers=self.options.extension_workers,
             )
         return interner
 

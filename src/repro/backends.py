@@ -40,7 +40,7 @@ from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.adversaries.base import MessageAdversary
 from repro.consensus.solvability import CheckOptions
-from repro.core.views import ViewInterner, _WORKER_CAP_ENV
+from repro.core.views import ViewInterner
 from repro.errors import AnalysisError
 from repro.records import RunRecord, certificate_summary, read_jsonl, write_jsonl
 from repro.schemas import SWEEP_MANIFEST
@@ -250,7 +250,6 @@ def iter_job_records(
                 adversary.n,
                 layer_backend=base.layer_backend,
                 plan_cache_size=base.plan_cache_size,
-                extension_workers=base.extension_workers,
             )
         before = len(interner)
         start = time.perf_counter()
@@ -340,15 +339,10 @@ def _run_shard(
 ) -> list[RunRecord]:
     """Top-level worker entry point (must be picklable for spawn contexts).
 
-    Clamps per-check extension workers to 1 before running: the sweep
-    already owns the machine's parallelism at job granularity, so a check
-    forking its own layer-extension workers inside a pool worker would
-    silently oversubscribe to ``workers x extension_workers`` processes.
-    The env guard reaches every interner the shard creates (the cap is
-    read at dispatch time) without mutating the options it records.
+    Each check runs serially inside its pool worker: the sweep owns the
+    machine's parallelism at job granularity.
     """
     shard, jobs, options, record_timing = payload
-    os.environ[_WORKER_CAP_ENV] = "1"
     return _run_jobs(shard, jobs, options, record_timing)
 
 
@@ -509,11 +503,6 @@ class ManifestBackend:
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing
         )
-        if self.shards > 1:
-            # Same oversubscription guard as _run_shard: concurrent shard
-            # subprocesses own the parallelism, so per-check extension
-            # workers inside them are clamped to the serial path.
-            env[_WORKER_CAP_ENV] = "1"
         return env
 
     def shard_paths(self, shard: int) -> tuple[Path, Path]:

@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    """True for a plain int; ``bool`` is an int subclass and is refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CheckOptions:
     """Tuning knobs of the solvability checker, as one value object.
@@ -96,17 +101,13 @@ class CheckOptions:
         functions of the alphabet, so the cap trades recomputation for
         memory and never changes results.  Ignored when the caller shares
         an interner.
-    extension_workers:
-        Process count for the created interner's sharded whole-layer
-        extension (``1`` = serial, the default).  Orthogonal to
-        ``layer_backend``: only the numpy kernel shards, the sharded path
-        is bit-identical to the serial numpy kernel for any worker count,
-        and small layers fall back to serial automatically.  Serializes
-        with the options like ``layer_backend``; manifests written before
-        this field existed simply omit it and load with the serial
-        default.  Process-pool sweeps clamp it to ``1`` inside their
-        workers via :data:`repro.core.views._WORKER_CAP_ENV`.  Ignored
-        when the caller shares an interner.
+
+    Every field is type-checked at construction (options arrive from
+    manifest files and from the query service), so a malformed value
+    raises :class:`~repro.errors.AnalysisError` before any work is
+    queued.  A check runs serially in one process; parallelism lives at
+    the job level, in :class:`~repro.backends.ProcessBackend` and the
+    fleet.
     """
 
     max_depth: int = 10
@@ -116,7 +117,30 @@ class CheckOptions:
     memo_extensions: bool | None = None
     layer_backend: str | None = None
     plan_cache_size: int | None = None
-    extension_workers: int = 1
+
+    def __post_init__(self) -> None:
+        checks = (
+            ("max_depth", "an int >= 0",
+             _is_int(self.max_depth) and self.max_depth >= 0),
+            ("max_nodes", "an int >= 1",
+             _is_int(self.max_nodes) and self.max_nodes >= 1),
+            ("use_impossibility_provers", "a bool",
+             isinstance(self.use_impossibility_provers, bool)),
+            ("use_broadcaster_certificate", "a bool",
+             isinstance(self.use_broadcaster_certificate, bool)),
+            ("memo_extensions", "a bool or None",
+             self.memo_extensions is None
+             or isinstance(self.memo_extensions, bool)),
+            ("layer_backend", "a str or None",
+             self.layer_backend is None or isinstance(self.layer_backend, str)),
+            ("plan_cache_size", "an int or None",
+             self.plan_cache_size is None or _is_int(self.plan_cache_size)),
+        )
+        for name, expected, ok in checks:
+            if not ok:
+                raise AnalysisError(
+                    f"{name} must be {expected}, got {getattr(self, name)!r}"
+                )
 
     def replace(self, **changes) -> "CheckOptions":
         """A copy with the given fields changed."""
@@ -128,9 +152,14 @@ class CheckOptions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckOptions":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected by name."""
+        """Inverse of :meth:`to_dict`; unknown keys are rejected by name.
+
+        The one exception is ``extension_workers``, the removed in-check
+        sharding knob: it is dropped, so manifests and service clients
+        written while it existed still load.
+        """
         known = {field: data[field] for field in cls.__dataclass_fields__ if field in data}
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(known) - {"extension_workers"}
         if unknown:
             raise AnalysisError(f"unknown CheckOptions fields: {sorted(unknown)}")
         return cls(**known)
@@ -432,7 +461,6 @@ def check_consensus_with_options(
         max_nodes=max_nodes,
         layer_backend=options.layer_backend,
         plan_cache_size=options.plan_cache_size,
-        extension_workers=options.extension_workers,
     )
     table: DecisionTable | None = None
     certified_depth = None

@@ -70,7 +70,7 @@ _ARROW_EDGES["∅"] = _ARROW_EDGES["none"]
 #: table.  Bit rows and packed edge keys are arbitrary-precision Python
 #: ints, so every graph operation is width-generic; the cap only bounds
 #: the intern table.  ``16`` covers the large-``n`` prefix spaces the
-#: sharded extension kernel can now walk, while ``n <= 8`` keys stay
+#: columnar extension kernel can walk, while ``n <= 8`` keys stay
 #: within one machine word — that fast path is bit-for-bit unchanged
 #: (same key packing, same hashes, same interned identities).
 _INTERN_MAX_N = 16

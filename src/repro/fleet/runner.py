@@ -40,7 +40,6 @@ from typing import Any, Sequence
 
 from repro.backends import SweepJob, _validate_jobs
 from repro.consensus.solvability import CheckOptions
-from repro.core.views import _WORKER_CAP_ENV
 from repro.errors import AnalysisError
 from repro.fleet import files, state
 from repro.fleet.chaos import ChaosSpec
@@ -51,8 +50,12 @@ from repro.records import RunRecord
 __all__ = ["FleetRunner", "FleetBackend"]
 
 
-def _worker_env(workers: int) -> dict[str, str]:
-    """Environment for worker subprocesses (mirrors ManifestBackend)."""
+def _worker_env() -> dict[str, str]:
+    """Environment for worker subprocesses (mirrors ManifestBackend).
+
+    Workers run their checks serially; the fleet's parallelism is the
+    number of concurrent worker processes.
+    """
     import repro
 
     package_root = str(Path(repro.__file__).resolve().parents[1])
@@ -61,10 +64,6 @@ def _worker_env(workers: int) -> dict[str, str]:
     env["PYTHONPATH"] = (
         package_root if not existing else package_root + os.pathsep + existing
     )
-    if workers > 1:
-        # Concurrent workers own the machine's parallelism; per-check
-        # extension workers inside them would oversubscribe.
-        env[_WORKER_CAP_ENV] = "1"
     return env
 
 
@@ -246,7 +245,7 @@ class FleetRunner:
         if workers < 1:
             raise AnalysisError("a fleet drive needs workers >= 1")
         config = self.config
-        env = _worker_env(workers)
+        env = _worker_env()
         procs: dict[str, subprocess.Popen] = {}
         spawned = 0
         respawn_budget = config.shards * config.max_attempts + 2 * workers

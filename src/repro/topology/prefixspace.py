@@ -314,12 +314,6 @@ class PrefixSpace:
     plan_cache_size:
         Capacity of the created interner's per-alphabet extension-plan LRU
         (``None`` = library default; ignored when ``interner`` is given).
-    extension_workers:
-        Process count for the created interner's sharded whole-layer
-        extension (``None``/``1`` = serial; ignored when ``interner`` is
-        given — the shared interner's own knob wins).  Orthogonal to
-        ``layer_backend``: only the numpy kernel shards, and results are
-        bit-identical to the serial numpy kernel for any worker count.
 
     Examples
     --------
@@ -339,7 +333,6 @@ class PrefixSpace:
         retain: str = "all",
         layer_backend: str | None = None,
         plan_cache_size: int | None = None,
-        extension_workers: int | None = None,
     ) -> None:
         self.adversary = adversary
         if retain not in ("all", "frontier"):
@@ -352,7 +345,6 @@ class PrefixSpace:
                 adversary.n,
                 layer_backend=layer_backend,
                 plan_cache_size=plan_cache_size,
-                extension_workers=extension_workers,
             )
         self.interner = interner
         if self.interner.n != adversary.n:

@@ -52,6 +52,58 @@ def test_execute_query_matches_serial_backend():
     assert direct == expected.to_dict()
 
 
+def test_execute_query_drops_the_legacy_extension_workers_key():
+    spec = {"family": "named", "params": {"name": "no-hub"}}
+    legacy = execute_query(spec, {"extension_workers": 4, "max_depth": 3})
+    assert legacy == execute_query(spec, {"max_depth": 3})
+
+
+#: Option values the service must refuse before queueing any work.
+BAD_OPTIONS = (
+    {"max_depth": -1},
+    {"max_depth": True},
+    {"max_depth": "3"},
+    {"max_nodes": 0},
+    {"use_impossibility_provers": "no"},
+    {"use_broadcaster_certificate": 1},
+    {"memo_extensions": "off"},
+    {"layer_backend": 3},
+    {"plan_cache_size": 2.5},
+)
+
+
+def test_malformed_option_values_answer_errors_and_store_nothing(
+    tmp_path, monkeypatch
+):
+    store = ResultStore(tmp_path)
+    puts = []
+    monkeypatch.setattr(store, "put", lambda *args, **kw: puts.append(args))
+
+    async def scenario(service, host, port):
+        client = await _Client.connect(host, port)
+        responses = []
+        for i, options in enumerate(BAD_OPTIONS):
+            responses.append(
+                await client.request(
+                    {
+                        "op": "query",
+                        "id": i,
+                        "spec": {"family": "named", "params": {"name": "no-hub"}},
+                        "options": options,
+                        "wait": True,
+                    }
+                )
+            )
+        await client.close()
+        return responses
+
+    responses = run(with_service(store, scenario))
+    assert [r["ok"] for r in responses] == [False] * len(BAD_OPTIONS)
+    for response, options in zip(responses, BAD_OPTIONS):
+        assert next(iter(options)) in response["error"]
+    assert puts == []
+
+
 def test_hello_line_carries_the_protocol_schema(tmp_path):
     async def scenario(service, host, port):
         reader, writer = await asyncio.open_connection(host, port)

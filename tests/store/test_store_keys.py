@@ -87,7 +87,6 @@ def test_observability_options_do_not_change_the_key():
     base = cache_key(SPEC, OPTIONS)
     for variant in (
         OPTIONS.replace(layer_backend="python"),
-        OPTIONS.replace(extension_workers=4),
         OPTIONS.replace(plan_cache_size=7),
         OPTIONS.replace(memo_extensions=True),
     ):

@@ -232,6 +232,54 @@ class TestCheckOptions:
     def test_unknown_fields_rejected(self):
         with pytest.raises(AnalysisError, match="unknown CheckOptions"):
             CheckOptions.from_dict({"max_depth": 3, "bogus": 1})
+        with pytest.raises(AnalysisError, match="bogus"):
+            CheckOptions.from_dict({"bogus": 1})
+
+    def test_legacy_extension_workers_key_is_dropped(self):
+        # The in-check sharding knob is gone: old manifests and clients
+        # still load, but the field no longer exists on the object.
+        loaded = CheckOptions.from_dict({"max_depth": 3, "extension_workers": 4})
+        assert loaded == CheckOptions(max_depth=3)
+        assert "extension_workers" not in loaded.to_dict()
+        with pytest.raises(TypeError):
+            CheckOptions(extension_workers=2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_depth", -1),
+            ("max_depth", True),
+            ("max_depth", "3"),
+            ("max_depth", 2.0),
+            ("max_nodes", 0),
+            ("max_nodes", False),
+            ("use_impossibility_provers", "no"),
+            ("use_broadcaster_certificate", 0),
+            ("memo_extensions", "yes"),
+            ("layer_backend", 1),
+            ("plan_cache_size", "7"),
+            ("plan_cache_size", True),
+        ],
+    )
+    def test_malformed_values_rejected_at_construction(self, field, value):
+        with pytest.raises(AnalysisError, match=field):
+            CheckOptions(**{field: value})
+        with pytest.raises(AnalysisError, match=field):
+            CheckOptions.from_dict({field: value})
+        with pytest.raises(AnalysisError, match=field):
+            CheckOptions().replace(**{field: value})
+
+    def test_well_formed_values_accepted(self):
+        options = CheckOptions(
+            max_depth=0,
+            max_nodes=1,
+            use_impossibility_provers=False,
+            use_broadcaster_certificate=False,
+            memo_extensions=None,
+            layer_backend="python",
+            plan_cache_size=3,
+        )
+        assert CheckOptions.from_dict(options.to_dict()) == options
 
     def test_wrapper_matches_options_core(self):
         adversary = lossy_link_no_hub()

@@ -117,6 +117,22 @@ class TestManifestRoundTrip:
         assert [r.shard for r in records] == [5, 5, 5]
         assert (tmp_path / "shard_0.jsonl").exists()
 
+    def test_manifest_with_legacy_extension_workers_loads_and_runs(self, tmp_path):
+        # Manifests written while the in-check sharding knob existed carry
+        # it in their options; the key is dropped on load.
+        manifest_path = tmp_path / "shard_0.json"
+        jobs = jobs_for(_two_process_specs()[:3], max_depth=4)
+        write_manifest(jobs, manifest_path, options=CheckOptions(max_depth=4))
+        payload = json.loads(manifest_path.read_text())
+        payload["options"]["extension_workers"] = 4
+        manifest_path.write_text(json.dumps(payload))
+        loaded = load_manifest(manifest_path)
+        assert loaded["options"] == CheckOptions(max_depth=4)
+        records = run_manifest(manifest_path)
+        assert _fingerprint(records) == _fingerprint(
+            SerialBackend().run(jobs, CheckOptions(max_depth=4))
+        )
+
     def test_load_manifest_rejects_other_files(self, tmp_path):
         path = tmp_path / "not_manifest.json"
         path.write_text(json.dumps({"schema": "something-else", "jobs": []}))
@@ -218,51 +234,3 @@ class TestCensusOnBackends:
         assert len(records) == len(rows) == 15
         assert all(r.oracle is not None and r.cgp is not None for r in records)
         assert [r.status for r in records] == [row.status.value for row in rows]
-
-
-class TestExtensionWorkerClamp:
-    """Process-pool sweeps must not oversubscribe via extension workers."""
-
-    def test_run_shard_sets_the_env_cap(self, monkeypatch):
-        from repro.backends import _run_shard
-        from repro.core.views import _WORKER_CAP_ENV
-        import os
-
-        # Register the key with monkeypatch so the value _run_shard writes
-        # directly into os.environ is rolled back at teardown.
-        monkeypatch.setenv(_WORKER_CAP_ENV, "999")
-        jobs = jobs_for(_two_process_specs()[:2], max_depth=3)
-        options = CheckOptions(extension_workers=4)
-        records = _run_shard((0, jobs, options, False))
-        assert os.environ.get(_WORKER_CAP_ENV) == "1"
-        assert len(records) == 2
-
-    def test_env_cap_defeats_the_knob_at_dispatch_time(self, monkeypatch):
-        from repro.core.views import ViewInterner, _WORKER_CAP_ENV
-
-        interner = ViewInterner(2, extension_workers=8)
-        monkeypatch.setenv(_WORKER_CAP_ENV, "1")
-        assert interner._effective_workers(10**9) == 1
-        monkeypatch.delenv(_WORKER_CAP_ENV)
-        # Without the cap the knob is honored again (same interner).
-        if interner.layer_backend == "numpy":
-            assert interner._effective_workers(10**9) == 8
-
-    def test_process_backend_matches_serial_with_workers_requested(self):
-        jobs = jobs_for(_two_process_specs(), max_depth=4)
-        options = CheckOptions(extension_workers=4)
-        serial = SerialBackend(record_timing=False).run(jobs, CheckOptions())
-        pooled = ProcessBackend(2, record_timing=False).run(jobs, options)
-
-        def no_shard(fingerprints):
-            return [fp[:-1] for fp in fingerprints]
-
-        assert no_shard(_fingerprint(serial)) == no_shard(_fingerprint(pooled))
-
-    def test_manifest_subprocess_env_carries_the_cap(self, tmp_path):
-        from repro.core.views import _WORKER_CAP_ENV
-
-        backend = ManifestBackend(tmp_path, shards=2)
-        assert backend._subprocess_env()[_WORKER_CAP_ENV] == "1"
-        single = ManifestBackend(tmp_path, shards=1)
-        assert _WORKER_CAP_ENV not in single._subprocess_env()

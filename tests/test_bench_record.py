@@ -79,9 +79,9 @@ def test_distill_copies_numeric_extra_info_as_measured_keys():
                 "extra_info": {"cold_s": 0.75, "speedup_vs_cold": 7000.0},
             },
             {
-                "name": "test_sharded",
+                "name": "test_fleet",
                 "stats": {"mean": 2.0, "min": 1.9, "rounds": 1},
-                "extra_info": {"extension_workers": 2},
+                "extra_info": {"workers": 2},
             },
         ]
     }
@@ -90,13 +90,12 @@ def test_distill_copies_numeric_extra_info_as_measured_keys():
         "mean_s": 0.4,
         "min_s": 0.38,
         "rounds": 3,
-        "extension_workers": 1,
         "hot_latency_p99_s": 0.002,
         "cold_latency_p99_s": 0.9,
     }
     assert entries["test_service_cold_depth10_check"]["cold_s"] == 0.75
     assert entries["test_service_cold_depth10_check"]["speedup_vs_cold"] == 7000.0
-    assert entries["test_sharded"]["extension_workers"] == 2
+    assert entries["test_fleet"]["workers"] == 2
 
 
 def test_carry_never_copies_a_stale_extra_info_measurement():

@@ -2,13 +2,15 @@
 
 Every rule gets at least one known-bad fixture it must flag and one
 known-good fixture it must pass — including a faithful reproduction of
-the historical ``interner or ...`` bug (R4) and the shared-memory
-cleanup-ordering leak (R2) that motivated the linter.  The ``--json``
+the historical ``interner or ...`` bug (R4) that motivated the linter.  The ``--json``
 document's key set is pinned: it is a versioned schema
 (``repro.lint-report/1``) that downstream tooling reads.
 """
 
+import ast
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.tools.lint import (
 )
 from repro.tools.lint.cli import main as lint_main
 from repro.tools.lint.engine import findings_document, module_name_for
+from repro.tools.lint.rules import ColumnarHotPathRule
 
 REPRO_MODULE = "repro.fake.module"
 
@@ -41,9 +44,9 @@ def rules_of(found):
 # --------------------------------------------------------------------- #
 
 
-def test_all_nine_rules_registered():
+def test_all_rules_registered():
     ids = [rule.id for rule in iter_rules()]
-    assert ids == ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
+    assert ids == ["R1", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
     for rule in iter_rules():
         assert rule.name and rule.description
 
@@ -95,92 +98,6 @@ def test_r1_is_repro_only():
 def test_r1_kernel_module_allowlist():
     config = LintConfig(rules={"R1": {"kernel_modules": [REPRO_MODULE]}})
     assert findings(R1_BAD, select={"R1"}, config=config) == []
-
-
-# --------------------------------------------------------------------- #
-# R2 — shared-memory lifecycle
-# --------------------------------------------------------------------- #
-
-R2_BAD_NO_CLEANUP = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def leak():
-    shm = SharedMemory(create=True, size=8)
-    return shm.name
-"""
-
-# The exact pre-fix shape of map_layer_shards: the second creation sits
-# before the first segment's protecting try, and one finally suite chains
-# both cleanups so the first close() raising skips the second segment.
-R2_BAD_ORDERING = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def leaky(work):
-    shm_in = SharedMemory(create=True, size=8)
-    shm_out = SharedMemory(create=True, size=8)
-    try:
-        work(shm_in, shm_out)
-    finally:
-        try:
-            shm_in.close()
-            shm_in.unlink()
-            shm_out.close()
-            shm_out.unlink()
-        except BufferError:
-            pass
-"""
-
-R2_GOOD = """\
-from multiprocessing.shared_memory import SharedMemory
-
-
-def _release_segment(shm):
-    try:
-        shm.close()
-    except BufferError:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def clean(work):
-    shm_in = SharedMemory(create=True, size=8)
-    try:
-        shm_out = SharedMemory(create=True, size=8)
-        try:
-            work(shm_in, shm_out)
-        finally:
-            _release_segment(shm_out)
-    finally:
-        _release_segment(shm_in)
-"""
-
-
-def test_r2_flags_segment_without_cleanup():
-    found = findings(R2_BAD_NO_CLEANUP, select={"R2"})
-    assert rules_of(found) == ["R2"]
-    assert "unlink" in found[0].message
-
-
-def test_r2_flags_the_prefix_ordering_leak():
-    found = findings(R2_BAD_ORDERING, select={"R2"})
-    assert found, "the pre-fix map_layer_shards shape must be flagged"
-    messages = " ".join(f.message for f in found)
-    assert "leak" in messages or "skipped" in messages
-
-
-def test_r2_passes_nested_try_finally_with_helper():
-    assert findings(R2_GOOD, select={"R2"}) == []
-
-
-def test_r2_applies_outside_repro_package_too():
-    assert rules_of(
-        findings(R2_BAD_NO_CLEANUP, module="scripts.helper", select={"R2"})
-    ) == ["R2"]
 
 
 # --------------------------------------------------------------------- #
@@ -377,6 +294,21 @@ def test_r6_flags_materialization_in_hot_path():
 def test_r6_allows_error_branches_and_cold_functions():
     assert findings(R6_GOOD_ERROR_BRANCH, select={"R6"}, config=R6_CONFIG) == []
     assert findings(R6_GOOD_OTHER_FUNCTION, select={"R6"}, config=R6_CONFIG) == []
+
+
+def test_r6_designations_name_existing_functions():
+    # R6 skips a designation whose function is gone without a word, so a
+    # stale entry would silently stop guarding anything.
+    for designation in ColumnarHotPathRule.defaults["hot_functions"]:
+        module, _, function = designation.partition("::")
+        origin = importlib.util.find_spec(module).origin
+        tree = ast.parse(Path(origin).read_text(encoding="utf-8"))
+        names = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert function == "*" or function in names, designation
 
 
 # --------------------------------------------------------------------- #
