@@ -41,6 +41,7 @@ from repro.specs import AdversarySpec
 
 __all__ = [
     "KERNEL_EPOCH",
+    "GOLDEN_CORPUS_SHA256",
     "SEMANTIC_OPTION_FIELDS",
     "cache_key",
     "key_payload",
@@ -52,6 +53,15 @@ __all__ = [
 #: the record schema itself; every bump invalidates the whole store (old
 #: entries become unaddressable garbage, collected by ``cache gc``).
 KERNEL_EPOCH = 1
+
+#: sha256 of ``tests/data/golden_corpus.jsonl`` per kernel epoch.  The
+#: corpus pins the verdicts of small checks across every entry path; a
+#: change that moves one must bump :data:`KERNEL_EPOCH`, regenerate the
+#: corpus (``scripts/make_golden_corpus.py``) and pin its digest under the
+#: new epoch — the corpus test fails on a digest without its epoch.
+GOLDEN_CORPUS_SHA256 = {
+    1: "a6e756b2e4b0523e477dc2efdeded2cf2286bd1f39429668296e737b36cf4b96",
+}
 
 #: The :class:`CheckOptions` fields that participate in the cache key —
 #: exactly those that can change what the checker concludes, as opposed
