@@ -20,18 +20,22 @@ Columnar construction
 :func:`build_decision_table` folds directly over the layer columns: the
 per-prefix component-id column of the
 :class:`~repro.topology.components.ComponentAnalysis` becomes a per-prefix
-value-bit column, the final map reads the depth-``t``
-:class:`~repro.core.views.LayerTable` flat column, and the early map pushes
-value bitmaps bottom-up through the parent-index columns — per layer one
-``np.unique`` + ``reduceat`` fold on the numpy backend, one flat loop on
-pure Python.  No :class:`~repro.topology.prefixspace.PrefixNode` is ever
-materialized except to format a validation error.
+value-bit column, the final map reads the depth-``t`` factored view keys
+(:meth:`~repro.topology.prefixspace.PrefixSpace.view_keys`: one key per
+(prefix, process) cell, in bijection with the full views), and the early
+map pushes value bitmaps bottom-up through the word-parent columns — per
+layer one ``np.unique`` + ``reduceat`` fold on the numpy backend, one flat
+loop on pure Python.  Both maps are keyed by factored keys;
+:meth:`DecisionTable.decision_for_view` keeps the full-view-id interface
+of the universal algorithm by translating through the interner.  No
+:class:`~repro.topology.prefixspace.PrefixNode` is ever materialized
+except to format a validation error.
 """
 
 from __future__ import annotations
 
 from repro.consensus.spec import STRONG, ConsensusSpec
-from repro.core.views import numpy_module, plain_ids
+from repro.core.views import int64_column, numpy_module, plain_ids
 from repro.errors import AnalysisError, CertificateError
 from repro.topology.components import ComponentAnalysis
 from repro.topology.prefixspace import PrefixSpace
@@ -42,6 +46,11 @@ __all__ = ["DecisionTable", "build_decision_table"]
 #: Below this many (prefix, process) cells at the certification depth the
 #: per-layer unique/reduceat folds lose to the plain dict loops.
 _DECISION_NUMPY_MIN_CELLS = 2048
+
+#: The vectorized validation looks decisions up in a dense table over the
+#: layer's key range when the range is at most this many times the number
+#: of (prefix, process) cells, else by binary search.
+_DENSE_SPAN_FACTOR = 8
 
 #: The vectorized folds encode value sets as int64 bitmaps; instances with
 #: more distinct decision values than this fall back to the Python maps
@@ -56,7 +65,8 @@ def _use_numpy_maps(space, store, value_count: int) -> bool:
         np is not None
         and space.interner.layer_backend == "numpy"
         and value_count <= _NUMPY_MAX_VALUES
-        and len(store) * store.levels.n >= _DECISION_NUMPY_MIN_CELLS
+        and len(store) * space.adversary.n >= _DECISION_NUMPY_MIN_CELLS
+        and space.keys_fit_int64()
     )
 
 
@@ -71,10 +81,14 @@ class DecisionTable:
     assignment:
         Component id -> decision value at depth ``t``.
     final:
-        View id (at depth ``t``) -> decision value.
+        Factored view key (at depth ``t``) -> decision value.
     early:
-        View id (any depth ``<= t``) -> decision value, present only when
-        the value is already determined (the ε-ball rule).
+        Factored view key (any depth ``<= t``) -> decision value, present
+        only when the value is already determined (the ε-ball rule).
+
+    The keys are those of
+    :meth:`~repro.topology.prefixspace.PrefixSpace.view_key`, one per full
+    view; look full view ids up through :meth:`decision_for_view`.
     """
 
     __slots__ = ("space", "depth", "spec", "assignment", "final", "early")
@@ -102,10 +116,13 @@ class DecisionTable:
     def decision_for_view(self, view_id: int):
         """The decided value for a view, or None when not yet determined.
 
-        Accepts views of any depth up to the certification depth; views at
-        the certification depth always decide.
+        Accepts full view ids of any depth up to the certification depth;
+        views at the certification depth always decide.  The id translates
+        to its factored key through the interner's memoized input-free
+        lookup.
         """
-        return self.early.get(view_id)
+        key = self.space.view_key(view_id)
+        return None if key is None else self.early.get(key)
 
     def decided_values(self) -> frozenset:
         """All values the table can output."""
@@ -120,38 +137,36 @@ class DecisionTable:
 
         Raises :class:`CertificateError` on any violation; passing is an
         end-to-end check of the universal construction at this depth.
-        Runs columnar on the numpy backend (one gather over the layer's
-        flat view column) with the flat Python loop as the fallback; nodes
-        are only materialized to format a failure.
+        Runs columnar on the numpy backend (one lookup of the
+        layer's factored keys) with the flat Python loop as the fallback;
+        nodes are only materialized to format a failure.
         """
         space = self.space
         store = space.layer_store(self.depth)
-        table = store.levels
         value_count = len(self.decided_values())
         if _use_numpy_maps(space, store, value_count) and len(self.early) > 0:
-            self._validate_numpy(numpy_module(), store, table)
+            self._validate_numpy(numpy_module(), store)
         else:
-            self._validate_python(store, table)
+            self._validate_python(store)
         # Early decisions must be consistent with final ones.
         for view, value in self.final.items():
             if self.early.get(view) != value:
                 raise CertificateError("early/final decision mismatch")
 
-    def _validate_python(self, store, table) -> None:
+    def _validate_python(self, store) -> None:
         space = self.space
         unanimity = space.unanimity_by_index
         input_vectors = space.input_vectors
         strong = self.spec.validity == "strong"
         early_get = self.early.get
         missing = object()
-        input_idx = store.input_idx
-        n = table.n
-        ids = plain_ids(table.ids)
-        for index in range(len(table)):
+        n = space.adversary.n
+        keys = plain_ids(space.view_keys(self.depth))
+        for index in range(len(store)):
             base = index * n
-            value = early_get(ids[base], missing)
+            value = early_get(keys[base], missing)
             for p in range(n):
-                decided = early_get(ids[base + p], missing)
+                decided = early_get(keys[base + p], missing)
                 if decided is missing:
                     raise CertificateError(
                         f"termination violation: no decision for process {p} "
@@ -163,7 +178,7 @@ class DecisionTable:
                         f"{space.node(self.depth, index)!r}: "
                         f"{{{value!r}, {decided!r}}}"
                     )
-            input_index = input_idx[index]
+            input_index = index // store.width
             unanimous = unanimity[input_index]
             if unanimous is not None and value != unanimous:
                 raise CertificateError(
@@ -176,22 +191,36 @@ class DecisionTable:
                     f"{space.node(self.depth, index)!r}: decided {value!r}"
                 )
 
-    def _validate_numpy(self, np, store, table) -> None:
+    def _validate_numpy(self, np, store) -> None:
         space = self.space
         value_list = sorted(set(self.early.values()), key=repr)
         code_of = {value: i for i, value in enumerate(value_list)}
-        # Dense view-id -> value-code column over the decided views.
-        interner_size = len(space.interner)
-        vid_codes = np.full(interner_size, -1, dtype=np.int64)
-        early_vids = np.fromiter(self.early.keys(), dtype=np.int64, count=len(self.early))
+        # Value code per layer key (-1 = undecided): a dense table over
+        # the layer's key range when it is compact, else a binary search
+        # over the sorted decided keys.
+        early_keys = np.fromiter(self.early.keys(), dtype=np.int64, count=len(self.early))
         early_codes = np.fromiter(
             (code_of[value] for value in self.early.values()),
             dtype=np.int64,
             count=len(self.early),
         )
-        vid_codes[early_vids] = early_codes
-        mat = table.array()
-        codes = vid_codes[mat]
+        keys = int64_column(space.view_keys(self.depth)).reshape(len(store), -1)
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        if span <= _DENSE_SPAN_FACTOR * keys.size:
+            dense = np.full(span, -1, dtype=np.int64)
+            inside = (early_keys >= low) & (early_keys < low + span)
+            dense[early_keys[inside] - low] = early_codes[inside]
+            codes = dense[keys - low]
+            del dense, inside
+        else:
+            order = np.argsort(early_keys)
+            early_keys = early_keys[order]
+            early_codes = early_codes[order]
+            pos = np.minimum(np.searchsorted(early_keys, keys), len(early_keys) - 1)
+            codes = np.where(early_keys[pos] == keys, early_codes[pos], -1)
+            del pos
+        del keys
         undecided = codes < 0
         if undecided.any():
             index, p = np.argwhere(undecided)[0]
@@ -210,7 +239,8 @@ class DecisionTable:
                 f"{{{value_list[int(row[0])]!r}, "
                 f"{value_list[int(row[row != row[0]][0])]!r}}}"
             )
-        node_codes = first.reshape(-1)
+        # Prefix x * W + w: the node codes as an (inputs, words) matrix.
+        node_codes = first.reshape(store.inputs, store.width)
         # Validity: unanimity forces the value; strong validity requires
         # membership in the member's input assignment.
         unanimity = space.unanimity_by_index
@@ -218,14 +248,13 @@ class DecisionTable:
             [code_of.get(value, -1) if value is not None else -2 for value in unanimity],
             dtype=np.int64,
         )
-        input_idx = store.input_array()
-        expected = unan_codes[input_idx]
-        bad = (expected != -2) & (expected != node_codes)
+        expected = unan_codes[:, None]
+        bad = ((expected != -2) & (expected != node_codes)).reshape(-1)
         if bad.any():
             index = int(np.flatnonzero(bad)[0])
             raise CertificateError(
                 f"validity violation in {space.node(self.depth, index)!r}: "
-                f"decided {value_list[int(node_codes[index])]!r}"
+                f"decided {value_list[int(node_codes.flat[index])]!r}"
             )
         if self.spec.validity == "strong":
             input_vectors = space.input_vectors
@@ -241,13 +270,13 @@ class DecisionTable:
                 dtype=np.int64,
             )
             node_bits = np.left_shift(1, node_codes)
-            bad = (allowed_bits[input_idx] & node_bits) == 0
+            bad = ((allowed_bits[:, None] & node_bits) == 0).reshape(-1)
             if bad.any():
                 index = int(np.flatnonzero(bad)[0])
                 raise CertificateError(
                     f"strong validity violation in "
                     f"{space.node(self.depth, index)!r}: decided "
-                    f"{value_list[int(node_codes[index])]!r}"
+                    f"{value_list[int(node_codes.flat[index])]!r}"
                 )
 
     def decision_round_for(self, node) -> int:
@@ -256,7 +285,7 @@ class DecisionTable:
         last = 0
         for p in range(n):
             for s in range(self.depth + 1):
-                if node.prefix.view(p, s) in self.early:
+                if self.decision_for_view(node.prefix.view(p, s)) is not None:
                     last = max(last, s)
                     break
             else:
@@ -349,7 +378,7 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
     ncomp = len(components)
     member_order = analysis.member_order
     comp_starts = analysis.comp_starts
-    member_inputs = store.input_array()[member_order]
+    member_inputs = member_order // store.width
     input_vectors = space.input_vectors
     domain = spec.domain
     code_of = {value: i for i, value in enumerate(domain)}
@@ -450,46 +479,50 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
 def _decision_maps_python(
     space, depth, analysis, assignment, value_list, bit_of
 ) -> tuple[dict, dict]:
-    """Bottom-up decision maps over the flat layer columns (pure Python).
+    """Bottom-up decision maps over the factored layer columns (pure Python).
 
-    The value set of a node is the union over its depth-``t`` descendants,
-    pushed through the parent-index columns layer by layer, so the whole
-    map costs O(total views) instead of O(nodes * depth).
+    The value set of a view is the union over its depth-``t`` descendants,
+    pushed through the word-parent columns layer by layer (prefix
+    ``x * W + w`` has parent ``x * W' + parent(w)``), so the whole map
+    costs O(total views) instead of O(nodes * depth).
     """
-    store = space.layer_store(depth)
-    table = store.levels
-    n = table.n
+    n = space.adversary.n
     # Final map: every view occurring at the certification depth.
     comp_values = [assignment[c.id] for c in analysis.components]
     comp_bits = [bit_of[value] for value in comp_values]
     value_bits = [comp_bits[cid] for cid in analysis.comp_ids]
     final: dict[int, object] = {}
-    ids = plain_ids(table.ids)
+    keys = plain_ids(space.view_keys(depth))
     for index, bits in enumerate(value_bits):
         value = value_list[bits.bit_length() - 1]
         base = index * n
-        for vid in ids[base : base + n]:
-            final[vid] = value
-    # Early map, bottom-up through the parent columns.
+        for key in keys[base : base + n]:
+            final[key] = value
+    # Early map, bottom-up through the word-parent columns.
     possible: dict[int, int] = {}
     possible_get = possible.get
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
-        ids = plain_ids(level_store.levels.ids)
+        keys = plain_ids(space.view_keys(s))
         base = 0
         for bits in value_bits:
-            for vid in ids[base : base + n]:
-                possible[vid] = possible_get(vid, 0) | bits
+            for key in keys[base : base + n]:
+                possible[key] = possible_get(key, 0) | bits
             base += n
         if s:
-            parents = level_store.parents
-            parent_bits = [0] * len(space.layer_store(s - 1))
-            for index, bits in enumerate(value_bits):
-                parent_bits[parents[index]] |= bits
+            width = level_store.width
+            parent_width = level_store.parent_width
+            word_parents = plain_ids(level_store.word_parents)
+            parent_bits = [0] * (level_store.inputs * parent_width)
+            for x in range(level_store.inputs):
+                row = value_bits[x * width : (x + 1) * width]
+                offset = x * parent_width
+                for wp, bits in zip(word_parents, row):
+                    parent_bits[offset + wp] |= bits
             value_bits = parent_bits
     early = {
-        view: value_list[bits.bit_length() - 1]
-        for view, bits in possible.items()
+        key: value_list[bits.bit_length() - 1]
+        for key, bits in possible.items()
         if bits and bits & (bits - 1) == 0
     }
     return final, early
@@ -500,10 +533,11 @@ def _decision_maps_numpy(
 ) -> tuple[dict, dict]:
     """Vectorized decision maps: per layer one sort/``reduceat`` fold.
 
-    Views of different depths have distinct ids, so the per-layer
-    ``(unique view, OR of value bits)`` pairs concatenate into the early
-    map without cross-layer merging; the parent push is a segment OR over
-    the (already parent-major-sorted) parent column.
+    Keys of different depths never collide, so the per-layer ``(unique
+    key, OR of value bits)`` pairs concatenate into the early map without
+    cross-layer merging; the parent push is a segment OR over the
+    (parent-major-sorted) word-parent column, applied to every input row
+    of the ``(inputs, words)`` value-bit matrix at once.
     """
     store = space.layer_store(depth)
     comp_bits = np.array(
@@ -512,57 +546,57 @@ def _decision_maps_numpy(
     comp_ids = analysis.comp_ids
     if not isinstance(comp_ids, np.ndarray):
         comp_ids = np.array(comp_ids, dtype=np.int64)
-    value_bits = comp_bits[comp_ids]
-    n = store.levels.n
+    value_bits = comp_bits[comp_ids].reshape(store.inputs, store.width)
+    n = space.adversary.n
     final: dict[int, object] = {}
-    all_vids: list = []
+    all_keys: list = []
     all_bits: list = []
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
-        flat = level_store.levels.array().reshape(-1)
-        cell_bits = np.repeat(value_bits, n)
+        flat = int64_column(space.view_keys(s))
+        cell_bits = np.repeat(value_bits.reshape(-1), n)
         order = np.argsort(flat, kind="stable")
-        sorted_vids = flat[order]
-        boundary = np.empty(len(sorted_vids), dtype=bool)
+        sorted_keys = flat[order]
+        boundary = np.empty(len(sorted_keys), dtype=bool)
         boundary[0] = True
-        np.not_equal(sorted_vids[1:], sorted_vids[:-1], out=boundary[1:])
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
-        uniq_vids = sorted_vids[starts]
+        uniq_keys = sorted_keys[starts]
         uniq_bits = np.bitwise_or.reduceat(cell_bits[order], starts)
-        all_vids.append(uniq_vids)
+        all_keys.append(uniq_keys)
         all_bits.append(uniq_bits)
         if s == depth:
             # The depth-t views are single-valued by construction; they
             # are exactly the final map.
             final_codes = _bit_codes(np, uniq_bits)
             final = {
-                vid: value_list[code]
-                for vid, code in zip(uniq_vids.tolist(), final_codes.tolist())
+                key: value_list[code]
+                for key, code in zip(uniq_keys.tolist(), final_codes.tolist())
             }
         if s:
-            parents = level_store.parent_array()
-            prev_count = len(space.layer_store(s - 1))
+            parents = int64_column(level_store.word_parents)
             seg_boundary = np.empty(len(parents), dtype=bool)
             seg_boundary[0] = True
             np.not_equal(parents[1:], parents[:-1], out=seg_boundary[1:])
             seg_starts = np.flatnonzero(seg_boundary)
-            seg_parents = parents[seg_starts]
-            parent_bits = np.zeros(prev_count, dtype=np.int64)
-            parent_bits[seg_parents] = np.bitwise_or.reduceat(
-                value_bits, seg_starts
+            parent_bits = np.zeros(
+                (level_store.inputs, level_store.parent_width), dtype=np.int64
+            )
+            parent_bits[:, parents[seg_starts]] = np.bitwise_or.reduceat(
+                value_bits, seg_starts, axis=1
             )
             value_bits = parent_bits
-    vids = np.concatenate(all_vids)
+    keys = np.concatenate(all_keys)
     bits = np.concatenate(all_bits)
     # Single-bit AND nonzero: a view reachable only through dead-end
     # prefixes (a state group with no admissible extensions) accumulates
     # bits 0 and must stay undecided, exactly as on the Python path.
     decided = (bits != 0) & ((bits & (bits - 1)) == 0)
-    decided_vids = vids[decided]
+    decided_keys = keys[decided]
     decided_codes = _bit_codes(np, bits[decided])
     early = {
-        vid: value_list[code]
-        for vid, code in zip(decided_vids.tolist(), decided_codes.tolist())
+        key: value_list[code]
+        for key, code in zip(decided_keys.tolist(), decided_codes.tolist())
     }
     return final, early
 

@@ -66,7 +66,7 @@ def earliest_possible_round(table: DecisionTable) -> int:
         earliest = None
         for s in range(table.depth + 1):
             views = node.prefix.views(s)
-            if any(view in table.early for view in views):
+            if any(table.decision_for_view(view) is not None for view in views):
                 earliest = s
                 break
         if earliest is None:  # pragma: no cover - table.validate() forbids it

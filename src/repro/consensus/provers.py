@@ -57,7 +57,7 @@ from typing import Any, Iterable, Mapping
 from repro.adversaries.base import MessageAdversary
 from repro.adversaries.oblivious import ObliviousAdversary
 from repro.core.digraph import Digraph
-from repro.core.graphword import GraphWord, full_mask
+from repro.core.graphword import GraphWord, full_mask, heard_of_step
 from repro.core.views import numpy_module
 from repro.errors import AnalysisError
 
@@ -82,6 +82,11 @@ __all__ = [
 #: 32; the bodies break even at 48-64; numpy is 1.3x faster at 96, 1.5x at
 #: 128, 2.1x at 256 and 3.1x at 512.
 _LASSO_NUMPY_MIN_LETTERS = 64
+
+#: Below this many letters a state's successors are stepped letter by
+#: letter: a :class:`_LetterTable` cannot amortize its construction there
+#: (on 2-3 letter alphabets it was most of a full check's cost).
+_LASSO_TABLE_MIN_LETTERS = 8
 
 #: The numpy body packs a successor key into one int64 (sign bit unused).
 _NUMPY_KEY_BITS = 63
@@ -188,7 +193,9 @@ def _distinct_successors_numpy(
 
 
 def _product_lasso_search(
-    adversary: MessageAdversary, forbidden_mask_test
+    adversary: MessageAdversary,
+    forbidden_mask_test,
+    tables: dict[Any, "_LetterTable"] | None = None,
 ) -> tuple[GraphWord, GraphWord] | None:
     """Find an admissible lasso whose heard-of masks always satisfy a test.
 
@@ -209,9 +216,15 @@ def _product_lasso_search(
     node, in first-occurrence order.  The exploration and the cycle/path
     searches only ever follow the first edge to each successor in a
     node's edge list, which is exactly the edge the first letter gives, so
-    the returned words equal those of a per-letter scan.  States with at least ``_LASSO_NUMPY_MIN_LETTERS``
-    letters whose key fits an int64 run the numpy body when numpy is
-    available; all others run the Python body, with identical results.
+    the returned words equal those of a per-letter scan.  ``tables`` (state
+    -> letter table) may be shared between the searches of one adversary,
+    so the lasso and broadcaster searches of a check build each state's
+    table once.  States with fewer than ``_LASSO_TABLE_MIN_LETTERS``
+    letters skip the table and step every letter; a repeated successor
+    node keeps its first letter's edge, so the edges are the same.
+    States with at least ``_LASSO_NUMPY_MIN_LETTERS`` letters whose key
+    fits an int64 run the numpy body when numpy is available; all others
+    run the Python body, with identical results.
     """
     n = adversary.n
     accepting = adversary.accepting_states()
@@ -226,27 +239,42 @@ def _product_lasso_search(
         (state, initial_masks)
         for state in adversary.initial_states() & adversary.live_states()
     }
-    tables: dict[Any, _LetterTable] = {}
+    if tables is None:
+        tables = {}
     edges: dict[tuple, list[tuple[Digraph, tuple]]] = {}
     stack = list(start_nodes)
     seen = set(start_nodes)
     while stack:
         state, masks = stack.pop()
-        table = tables.get(state)
-        if table is None:
-            table = tables[state] = _LetterTable(n, adversary.transitions(state))
-        if table.arrays is None:
-            distinct = _distinct_successors_python(table, masks)
+        transitions = adversary.transitions(state)
+        if len(transitions) < _LASSO_TABLE_MIN_LETTERS:
+            # Too few letters to amortize a table: step every letter.
+            steps: Iterable[tuple] = [
+                (heard_of_step(graph, masks), graph, successors)
+                for graph, successors in transitions.items()
+            ]
         else:
-            distinct = _distinct_successors_numpy(table, masks)
+            table = tables.get(state)
+            if table is None:
+                table = tables[state] = _LetterTable(n, transitions)
+            if table.arrays is None:
+                distinct = _distinct_successors_python(table, masks)
+            else:
+                distinct = _distinct_successors_numpy(table, masks)
+            steps = [
+                (
+                    tuple([key >> shift & full for shift in shifts]),
+                    table.graphs[letter],
+                    table.successors[letter],
+                )
+                for key, letter in distinct
+            ]
         out: list[tuple[Digraph, tuple]] = []
         targets: set[tuple] = set()
-        for key, letter in distinct:
-            nxt_masks = tuple([key >> shift & full for shift in shifts])
+        for nxt_masks, graph, successors in steps:
             if not forbidden_mask_test(nxt_masks):
                 continue
-            graph = table.graphs[letter]
-            for nxt_state in table.successors[letter]:
+            for nxt_state in successors:
                 node = (nxt_state, nxt_masks)
                 if node in targets:
                     continue
@@ -258,11 +286,12 @@ def _product_lasso_search(
         edges[(state, masks)] = out
 
     # Look for a cycle through an accepting state.  Masks are constant on
-    # cycles, so it is enough to find an accepting node that reaches itself.
-    for node in sorted(seen, key=repr):
-        state, _ = node
-        if state not in accepting:
-            continue
+    # cycles, so it is enough to find an accepting node that reaches itself
+    # (a node without out-edges cannot).
+    candidates = [
+        node for node, out in edges.items() if out and node[0] in accepting
+    ]
+    for node in sorted(candidates, key=repr):
         cycle = _find_cycle(edges, node)
         if cycle is None:
             continue
@@ -327,7 +356,7 @@ def _find_path(edges, sources: set, target) -> list[Digraph] | None:
 
 
 def find_nonbroadcastable_lasso(
-    adversary: MessageAdversary,
+    adversary: MessageAdversary, *, tables: dict | None = None
 ) -> tuple[GraphWord, GraphWord] | None:
     """An admissible lasso on which *no* process is ever heard by everyone.
 
@@ -335,6 +364,8 @@ def find_nonbroadcastable_lasso(
     the proof of Theorem 5.11); ``None`` means every admissible ultimately
     periodic sequence eventually has a broadcaster — and since the search is
     exact over the finite product, every admissible sequence does.
+    ``tables`` shares per-state letter tables with other searches over the
+    same adversary (see :func:`_product_lasso_search`).
     """
 
     def nobody_broadcast(masks: tuple[int, ...]) -> bool:
@@ -343,15 +374,16 @@ def find_nonbroadcastable_lasso(
             common &= mask
         return common == 0
 
-    return _product_lasso_search(adversary, nobody_broadcast)
+    return _product_lasso_search(adversary, nobody_broadcast, tables)
 
 
 def find_lasso_avoiding_broadcast_by(
-    adversary: MessageAdversary, p: int
+    adversary: MessageAdversary, p: int, *, tables: dict | None = None
 ) -> tuple[GraphWord, GraphWord] | None:
     """An admissible lasso on which process ``p`` is never heard by everyone.
 
     Raises :class:`~repro.errors.AnalysisError` unless ``0 <= p < n``.
+    ``tables`` shares per-state letter tables between searches.
     """
     if not 0 <= p < adversary.n:
         raise AnalysisError(
@@ -361,19 +393,24 @@ def find_lasso_avoiding_broadcast_by(
     def p_not_broadcast(masks: tuple[int, ...]) -> bool:
         return any(not (mask >> p & 1) for mask in masks)
 
-    return _product_lasso_search(adversary, p_not_broadcast)
+    return _product_lasso_search(adversary, p_not_broadcast, tables)
 
 
-def find_guaranteed_broadcaster(adversary: MessageAdversary) -> int | None:
+def find_guaranteed_broadcaster(
+    adversary: MessageAdversary, *, tables: dict | None = None
+) -> int | None:
     """A process heard by everyone, eventually, in every admissible sequence.
 
     If such a ``p`` exists, "decide ``x_p`` upon hearing ``p``" solves
     consensus (every component is broadcastable by ``p``; Theorem 5.11),
     even for non-compact adversaries whose prefix spaces never separate.
-    Returns the smallest such process, or None.
+    Returns the smallest such process, or None.  The per-process searches
+    share one set of letter tables (and ``tables``, when given).
     """
+    if tables is None:
+        tables = {}
     for p in range(adversary.n):
-        if find_lasso_avoiding_broadcast_by(adversary, p) is None:
+        if find_lasso_avoiding_broadcast_by(adversary, p, tables=tables) is None:
             return p
     return None
 

@@ -396,9 +396,13 @@ def check_consensus(
         )
         if value is not _UNSET
     }
-    effective = options or CheckOptions()
-    if overrides:
-        effective = effective.replace(**overrides)
+    # One construction (and one field validation) per call.
+    if options is None:
+        effective = CheckOptions(**overrides)
+    elif overrides:
+        effective = options.replace(**overrides)
+    else:
+        effective = options
     return check_consensus_with_options(
         adversary,
         effective,
@@ -425,11 +429,13 @@ def check_consensus_with_options(
         input_vectors = all_assignments(adversary.n, spec.domain)
 
     history: list[DepthReport] = []
+    # Per-state letter tables, shared by every product search of the check.
+    tables: dict = {}
 
     # 1. Sound impossibility certificates.
     impossibility = None
     if use_impossibility_provers:
-        lasso = find_nonbroadcastable_lasso(adversary)
+        lasso = find_nonbroadcastable_lasso(adversary, tables=tables)
         if lasso is not None:
             impossibility = ImpossibilityWitness(
                 "nonbroadcastable-lasso", lasso=lasso
@@ -489,7 +495,7 @@ def check_consensus_with_options(
     # 3. Guaranteed-broadcaster certificate (decisive for non-compact
     #    adversaries whose prefix spaces never separate).
     if use_broadcaster_certificate:
-        broadcaster = find_guaranteed_broadcaster(adversary)
+        broadcaster = find_guaranteed_broadcaster(adversary, tables=tables)
         if broadcaster is not None:
             return SolvabilityResult(
                 adversary=adversary,

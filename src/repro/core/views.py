@@ -40,6 +40,20 @@ observed input values.  This is precisely the information needed to decide
 broadcastability (Definition 5.8): ``p`` has broadcast in a prefix iff the
 bit of ``p`` is set in every process's view mask.
 
+Input-free views
+----------------
+A full-information view is its causal past with the inputs placed at its
+origins (the process-time-graph model of Section 4).  So the view of ``p``
+in a prefix ``(x, w)`` corresponds one-to-one to the pair (the
+*input-free* view of ``p`` in the graph word ``w``, ``x`` restricted to
+that view's origin mask).  Input-free views are ordinary interned views
+whose leaves carry the placeholder :data:`INPUT_FREE` instead of an input
+value; the prefix space interns and extends only those, once per graph
+word.  :meth:`ViewInterner.input_free` maps a full view to its input-free
+view (a memoized lookup that never interns), and
+:meth:`ViewInterner.with_inputs` places an assignment back at the origins
+(the cold materialization behind the object-level APIs).
+
 The whole-layer extension kernel
 --------------------------------
 :meth:`ViewInterner.extend_layer_table` interns the successors of an
@@ -93,6 +107,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
 __all__ = [
+    "INPUT_FREE",
     "LayerTable",
     "ViewInterner",
     "ViewStats",
@@ -121,12 +136,10 @@ DEFAULT_LAYER_BACKEND = "python" if _np is None else "numpy"
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 #: Below this many (parent, pattern) cells the numpy batch is not worth its
-#: fixed per-call overhead; tiny layers stay on the pure-Python kernel.
-_NUMPY_MIN_CELLS = 192
-
-#: Below this many cells even the batched Python kernel loses to the plain
-#: per-parent loop (batch bookkeeping dominates microscopic layers).
-_BATCH_MIN_CELLS = 48
+#: fixed per-call overhead; small layers stay on the pure-Python kernel.
+#: Measured on word layers (2-core x86, fresh interning): Python wins 3x
+#: at 63-208 cells and 1.4x at 324, numpy wins from about 900 cells on.
+_NUMPY_MIN_CELLS = 768
 
 #: Multiplier/seed of the fallback 64-bit row mix (FNV offset basis
 #: seeded, golden-ratio multiplier).  The same fold runs scalar in Python
@@ -145,6 +158,23 @@ _XXPRIME_1 = 11400714785074694791
 _XXPRIME_2 = 14029467366897019727
 _XXPRIME_5 = 2870177450012600261
 _XX_SUFFIX = _XXPRIME_5 ^ 3527539
+
+
+class _InputFree:
+    """The placeholder input of an input-free leaf ``(p)`` (a singleton)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "INPUT_FREE"
+
+    def __reduce__(self) -> str:
+        return "INPUT_FREE"
+
+
+#: Leaf "value" of the input-free views the prefix space extends: the
+#: input-free level of ``n`` processes is ``leaf_level((INPUT_FREE,) * n)``.
+INPUT_FREE = _InputFree()
 
 
 def numpy_available() -> bool:
@@ -488,6 +518,7 @@ class ViewInterner:
         "_row_masks",
         "_leaf_count",
         "_plan_cache",
+        "_free_of",
     )
 
     def __init__(
@@ -552,6 +583,8 @@ class ViewInterner:
         # Per-alphabet extension plan LRU: distinct (p, in-neighborhood)
         # patterns in first-occurrence order + per-graph assembly layouts.
         self._plan_cache: dict[tuple, tuple] = {}
+        # Full view -> input-free view (memo of :meth:`input_free`).
+        self._free_of: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # The interned child-row arena
@@ -1038,7 +1071,7 @@ class ViewInterner:
         through the open-addressing row table, and allocates new views at
         unique-row granularity — without materializing any per-child level
         tuple.  The backend (numpy or pure Python) follows
-        ``self.layer_backend``; tiny layers always run the per-parent loop.
+        ``self.layer_backend``; small layers always run the Python kernel.
 
         """
         graphs = tuple(graphs)
@@ -1105,25 +1138,10 @@ class ViewInterner:
         Python kernel, int64 numpy arrays from the vectorized one).
         """
         plan = self._alphabet_plan(graphs)
-        count = len(table)
-        cells = count * len(plan[0])
-        if cells < _BATCH_MIN_CELLS:
-            # Microscopic layers: batch bookkeeping costs more than the
-            # plain per-parent loop it replaces.
-            results = [
-                self._extend_batch(table[i], graphs) for i in range(count)
-            ]
-            columns = []
-            for j in range(len(graphs)):
-                flat = array("q")
-                for result in results:
-                    flat.extend(result[j])
-                columns.append(flat)
-            return columns
         if (
             self.layer_backend == "numpy"
             and self.n <= _MASK_ARRAY_MAX_N
-            and cells >= _NUMPY_MIN_CELLS
+            and len(table) * len(plan[0]) >= _NUMPY_MIN_CELLS
         ):
             return self._extend_layer_numpy(table, plan)
         return self._extend_layer_python(table, plan)
@@ -1457,6 +1475,61 @@ class ViewInterner:
                 return value
         raise AnalysisError(f"view {vid} has not heard of process {q}")
 
+    def input_free(self, vid: int) -> int:
+        """The input-free view of ``vid``, or ``-1`` when it was never interned.
+
+        Strips the input values off the leaves of the causal past: the
+        owners of a view's children are distinct, so the stripped child
+        row keeps its size.  A lookup only — nothing is interned — and
+        memoized per full view (the universal algorithm asks once per
+        simulated state).
+        """
+        memo = self._free_of
+        free = memo.get(vid)
+        if free is not None:
+            return free
+        p = self._pid[vid]
+        if self._depth[vid] == 0:
+            free = self._leaf_table.get((p, INPUT_FREE), -1)
+        else:
+            kids = []
+            for child in self.child_row(vid):
+                kid = self.input_free(child)
+                if kid < 0:
+                    return -1
+                kids.append(kid)
+            kids.sort()
+            rid, _ = self._row_find(kids, _row_hash(tuple(kids)))
+            free = self._node_slots[rid * self.n + p] if rid >= 0 else -1
+        if free >= 0:
+            memo[vid] = free
+        return free
+
+    def with_inputs(self, vids: Iterable[int], inputs: Sequence) -> list[int]:
+        """The full views of input-free views ``vids`` under assignment ``inputs``.
+
+        Places ``inputs[q]`` at every origin ``q`` of each causal past and
+        interns the result bottom-up — the inverse of :meth:`input_free`.
+        This is the cold materialization path (object-level APIs, the
+        literal ε-approximation, tests); the checker never calls it.
+        """
+        memo: dict[int, int] = {}
+        pids = self._pid
+        depths = self._depth
+
+        def inject(vid: int) -> int:
+            full = memo.get(vid)
+            if full is None:
+                p = pids[vid]
+                if depths[vid] == 0:
+                    full = self.leaf(p, inputs[p])
+                else:
+                    full = self.node(p, [inject(c) for c in self.child_row(vid)])
+                memo[vid] = full
+            return full
+
+        return [inject(vid) for vid in vids]
+
     def stats(self) -> ViewStats:
         """Summary statistics and table geometry of the interner's contents."""
         total = len(self._pid)
@@ -1476,6 +1549,7 @@ class ViewInterner:
             + getsizeof(self._row_hashes)
             + getsizeof(self._row_slots)
             + getsizeof(self._row_masks)
+            + getsizeof(self._free_of)
         )
         # The forced origin-value tuples; child ids live flat in the arena
         # (already counted above) and shared small ints are not charged.

@@ -118,8 +118,8 @@ def lemma_5_2(table: DecisionTable, a, b) -> None:
     views_b = b.prefix.views(depth)
     if not any(views_a[p] == views_b[p] for p in range(a.prefix.n)):
         return
-    decision_a = {table.early.get(v) for v in views_a}
-    decision_b = {table.early.get(v) for v in views_b}
+    decision_a = {table.decision_for_view(v) for v in views_a}
+    decision_b = {table.decision_for_view(v) for v in views_b}
     _require(
         decision_a == decision_b and len(decision_a) == 1,
         "decision map not locally constant on an indistinguishable pair",
@@ -133,7 +133,7 @@ def theorem_5_4(analysis: ComponentAnalysis, table: DecisionTable) -> None:
         values = set()
         for node in component.members():
             values.update(
-                table.early.get(v) for v in node.prefix.views(table.depth)
+                table.decision_for_view(v) for v in node.prefix.views(table.depth)
             )
         _require(
             len(values) == 1 and None not in values,

@@ -528,7 +528,10 @@ class ColumnarHotPathRule(Rule):
     The columnar pipeline's performance contract is that a layer is
     arrays end to end; one ``space.node(...)`` or ``PrefixNode(...)``
     inside a hot loop quietly reintroduces the per-prefix object churn
-    the rewrite removed.  Materialization stays legal in error branches —
+    the rewrite removed.  Likewise a read of ``store.levels`` — the cold
+    materializer of full view ids — re-expands the input-factored layer
+    the hot paths keep as word columns plus factored keys.
+    Materialization stays legal in error branches —
     a failing check may pay anything to format a good message — which the
     rule recognizes as: the call sits under a ``raise``, inside an
     ``except`` handler, or in a suite that raises.
@@ -537,8 +540,8 @@ class ColumnarHotPathRule(Rule):
     id = "R6"
     name = "columnar-hot-path"
     description = (
-        "no PrefixNode/PTGPrefix/.node() materialization inside designated "
-        "columnar hot-path functions, except on error-raise branches"
+        "no PrefixNode/PTGPrefix/.node()/.levels materialization inside "
+        "designated columnar hot-path functions, except on error-raise branches"
     )
     repro_only = True
     defaults: dict[str, Any] = {
@@ -550,6 +553,11 @@ class ColumnarHotPathRule(Rule):
             "repro.core.views::_extend_layer_numpy",
             "repro.core.views::_finish_layer_numpy",
             "repro.core.views::_intern_rows_numpy",
+            "repro.topology.prefixspace::extend",
+            "repro.topology.prefixspace::_extend_grouped",
+            "repro.topology.prefixspace::view_keys",
+            "repro.topology.prefixspace::_view_keys_python",
+            "repro.topology.prefixspace::_view_keys_numpy",
             "repro.topology.components::_analyze_python",
             "repro.topology.components::_analyze_numpy",
             "repro.topology.components::_sv_labels",
@@ -561,6 +569,8 @@ class ColumnarHotPathRule(Rule):
         ],
         "banned_constructors": ["PrefixNode", "PTGPrefix"],
         "banned_methods": ["node"],
+        # The cold full-view materializer of a layer store.
+        "banned_attributes": ["levels"],
     }
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
@@ -579,24 +589,25 @@ class ColumnarHotPathRule(Rule):
             return
         constructors = set(options["banned_constructors"])
         methods = set(options["banned_methods"])
+        attributes = set(options["banned_attributes"])
         for function in _iter_functions(ctx.tree):
             if not wildcard and function.name not in hot:
                 continue
             for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Name) and func.id in constructors:
+                        what = func.id
+                    elif isinstance(func, ast.Attribute) and func.attr in methods:
+                        what = f".{func.attr}()"
+                    else:
+                        continue
+                elif isinstance(node, ast.Attribute) and node.attr in attributes:
+                    what = f".{node.attr}"
+                else:
                     continue
-                banned = (
-                    isinstance(node.func, ast.Name) and node.func.id in constructors
-                ) or (
-                    isinstance(node.func, ast.Attribute) and node.func.attr in methods
-                )
-                if not banned or self._in_error_branch(ctx, node):
+                if self._in_error_branch(ctx, node):
                     continue
-                what = (
-                    node.func.id
-                    if isinstance(node.func, ast.Name)
-                    else f".{node.func.attr}()"
-                )
                 yield self.finding(
                     ctx,
                     node,
@@ -607,7 +618,7 @@ class ColumnarHotPathRule(Rule):
                 )
 
     @staticmethod
-    def _in_error_branch(ctx: LintContext, node: ast.Call) -> bool:
+    def _in_error_branch(ctx: LintContext, node: ast.AST) -> bool:
         for ancestor in ctx.ancestors(node):
             if isinstance(ancestor, (ast.Raise, ast.ExceptHandler)):
                 return True

@@ -64,9 +64,9 @@ class EpsApproximation:
         self.depth = depth
         self.seed = seed
         store = space.layer_store(depth)
+        if not space.owns_node(depth, seed):
+            raise AnalysisError("seed must be a node of the chosen layer of this space")
         levels = store.levels
-        if seed.depth != depth:
-            raise AnalysisError("seed must live on the chosen layer")
 
         n = space.adversary.n
         # Index views once: packed (view id, p) key -> node indices.
@@ -94,6 +94,7 @@ class EpsApproximation:
             frontier = nxt
         self.iterations = iterations
         self.member_indices = order
+        self._member_set = frozenset(order)
 
     def members(self) -> list[PrefixNode]:
         """The member prefixes, in the order the construction reached them."""
@@ -101,7 +102,13 @@ class EpsApproximation:
         return [layer[i] for i in self.member_indices]
 
     def __contains__(self, node: PrefixNode) -> bool:
-        return node.index in set(self.member_indices)
+        """Membership of a node of this layer; nodes of another layer or
+        another prefix space are never members (their indices mean
+        nothing here)."""
+        return (
+            self.space.owns_node(self.depth, node)
+            and node.index in self._member_set
+        )
 
     def __len__(self) -> int:
         return len(self.member_indices)

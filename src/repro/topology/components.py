@@ -22,20 +22,26 @@ characterizations need:
 
 Columnar pipeline
 -----------------
-The analysis consumes the layer's flat columns directly — the
-:class:`~repro.core.views.LayerTable` view-id column, the input-index
-column, and the interner's origin-mask column — and produces columns: a
+The analysis consumes the layer's word columns directly — the
+:class:`~repro.core.views.LayerTable` of input-free word views, the input
+vectors, and the interner's origin-mask column — and produces columns: a
 per-prefix component-id column (``comp_ids``) plus per-component member
-index arrays.  Two equivalent paths sit behind the interner's
-``layer_backend`` switch:
+index arrays.  Prefix ``x * W + w`` (input vector ``x``, word ``w``) and
+prefix ``x' * W + w'`` share the view of ``p`` iff the word views of ``p``
+agree and ``x``, ``x'`` agree on that view's origin mask, so the first
+prefix holding the view of a cell is arithmetic: the first input vector
+with the same projection (``xrep``) times ``W`` plus the first word with
+the same word view (``wordrep``).  Two equivalent paths sit behind the
+interner's ``layer_backend`` switch:
 
-* ``"numpy"`` — per process column, a scatter/gather over the view ids
-  links every prefix to one representative sharing its ``(view, p)``
-  key; connectivity is solved on these star edges over the prefixes
-  alone (scipy's ``connected_components``, else a numpy root-hooking
-  loop), and the per-component masks/valences fold with ``reduceat``;
-* ``"python"`` — the batched union-find pass over the flat column (one
-  dict probe per cell, inlined union by size with path halving).
+* ``"numpy"`` — per process, one scatter/gather over the word views and
+  one ``np.unique`` over the (input, mask) projections give every prefix
+  its representative; connectivity is solved on these star edges over the
+  prefixes alone (scipy's ``connected_components``, else a numpy
+  root-hooking loop), and the per-component masks/valences fold with
+  ``reduceat``;
+* ``"python"`` — the batched union-find pass over the same
+  representatives (inlined union by size with path halving).
 
 Both paths order components canonically by smallest member index, so
 component ids, member order, and every downstream decision table are
@@ -158,9 +164,9 @@ class Component:
 
     def member_input_indices(self) -> Iterator[int]:
         """Input-vector index of every member, without node wrappers."""
-        input_idx = self._space.layer_store(self.depth).input_idx
+        width = self._space.layer_store(self.depth).width
         for i in self._members:
-            yield int(input_idx[i])
+            yield int(i) // width
 
     def members(self) -> Iterator[PrefixNode]:
         """Iterate over the member prefix nodes."""
@@ -195,11 +201,9 @@ class Component:
 
     def broadcaster_value(self, p: int):
         """The input value of broadcaster ``p`` (constant by Theorem 5.9)."""
-        store = self._space.layer_store(self.depth)
-        input_idx = store.input_idx
         input_vectors = self._space.input_vectors
         values = {
-            input_vectors[input_idx[i]][p] for i in self._members
+            input_vectors[index][p] for index in self.member_input_indices()
         }
         if len(values) != 1:
             raise AnalysisError(
@@ -245,14 +249,14 @@ class ComponentAnalysis:
         self.space = space
         self.depth = depth
         store = space.layer_store(depth)
-        table = store.levels
         interner = space.interner
         n = space.adversary.n
         np = numpy_module()
-        count = len(table)
-        # The vectorized pass folds valences as int64 bitmaps; instances
-        # with more distinct unanimity values than fit take the Python
-        # pass (arbitrary-precision sets).
+        count = len(store)
+        # The vectorized pass folds valences as int64 bitmaps and codes
+        # input projections as int64; instances with more distinct
+        # unanimity values or wider keys than fit take the Python pass
+        # (arbitrary-precision sets and ints).
         distinct_values = len(
             {v for v in space.unanimity_by_index if v is not None}
         )
@@ -262,84 +266,98 @@ class ComponentAnalysis:
             and isinstance(interner._origin_mask, array)
             and distinct_values <= _NUMPY_MAX_VALENCES
             and count * n >= _COMPONENT_NUMPY_MIN_CELLS
+            and space.keys_fit_int64()
         ):
-            self._analyze_numpy(np, store, table, interner, n, count)
+            self._analyze_numpy(np, store, interner, n, count)
         else:
-            self._analyze_python(store, table, interner, n, count)
-        self._view_map: dict[tuple[int, int], int] | None = None
+            self._analyze_python(store, interner, n, count)
+        self._view_map: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # The two component passes
     # ------------------------------------------------------------------ #
 
-    def _analyze_python(self, store, table, interner, n: int, count: int) -> None:
-        """Batched union-find over the flat layer column (pure Python)."""
-        ids = plain_ids(table.ids)
+    def _analyze_python(self, store, interner, n: int, count: int) -> None:
+        """Batched union-find over the factored layer (pure Python)."""
+        words = plain_ids(store.word_levels.ids)
+        width = store.width
+        origin_masks = interner._origin_mask
+        everyone = full_mask(n)
+        # Word pass: per cell of the word table the first word holding the
+        # same view, its origin mask, and per word the broadcast mask.
+        first_word: dict[int, int] = {}
+        first_setdefault = first_word.setdefault
+        word_rep = [first_setdefault(vid, base // n) for base, vid in enumerate(words)]
+        cell_masks = [origin_masks[vid] for vid in words]
+        word_common = []
+        for base in range(0, len(words), n):
+            common = everyone
+            for mask in cell_masks[base : base + n]:
+                common &= mask
+            word_common.append(common)
+        # Input pass: per distinct mask, the first input vector with the
+        # same projection onto it.
+        xrep_of: dict[int, list[int]] = {}
+        for mask in set(cell_masks):
+            first_input: dict[int, int] = {}
+            xrep_of[mask] = [
+                first_input.setdefault(proj, x)
+                for x, proj in enumerate(self.space.projections(mask))
+            ]
+        cell_xrep = [xrep_of[mask] for mask in cell_masks]
         union_find = UnionFind(count)
         parent = union_find.parent
         size = union_find.size
-        origin_masks = interner._origin_mask
-        everyone = full_mask(n)
-        # One pass: bucket cells by the packed key ``view_id * n + p`` (two
-        # prefixes sharing a bucket are indistinguishable) and fold the
-        # per-node broadcast mask while the views are at hand.
-        buckets: dict[int, int] = {}
-        bucket_get = buckets.get
-        node_masks: list[int] = []
-        node_masks_append = node_masks.append
-        base = 0
-        for index in range(count):
-            common = everyone
-            for p in range(n):
-                vid = ids[base + p]
-                common &= origin_masks[vid]
-                key = vid * n + p
-                first = bucket_get(key)
-                if first is None:
-                    buckets[key] = index
-                    continue
-                # Inline union by size with path halving.
-                a, b = first, index
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-            node_masks_append(common)
-            base += n
+        for x in range(store.inputs):
+            base = x * width
+            cell = 0
+            for index in range(base, base + width):
+                for _ in range(n):
+                    first = cell_xrep[cell][x] * width + word_rep[cell]
+                    cell += 1
+                    if first == index:
+                        continue
+                    # Inline union by size with path halving.
+                    a, b = first, index
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
 
-        # Gather per-root data in a second pass over the columns.  Because
-        # nodes are visited in index order, each root is first reached
-        # through its smallest member, so the insertion order of
-        # ``members_of`` is already the canonical (first-member) component
-        # order — no sort needed.
+        # Gather per-root data in a second pass.  Because prefixes are
+        # visited in index order, each root is first reached through its
+        # smallest member, so the insertion order of ``members_of`` is
+        # already the canonical (first-member) component order.
         unanimity = self.space.unanimity_by_index
-        input_idx = store.input_idx
         members_of: dict[int, list[int]] = {}
         valences_of: dict[int, set] = {}
         mask_of: dict[int, int] = {}
-        for index, common in enumerate(node_masks):
-            root = index
-            while parent[root] != root:
-                parent[root] = root = parent[parent[root]]
-            members = members_of.get(root)
-            if members is None:
-                members_of[root] = [index]
-                mask_of[root] = common
-            else:
-                members.append(index)
-                mask_of[root] &= common
-            value = unanimity[input_idx[index]]
-            if value is not None:
-                held = valences_of.get(root)
-                if held is None:
-                    valences_of[root] = {value}
+        index = 0
+        for x in range(store.inputs):
+            value = unanimity[x]
+            for common in word_common:
+                root = index
+                while parent[root] != root:
+                    parent[root] = root = parent[parent[root]]
+                members = members_of.get(root)
+                if members is None:
+                    members_of[root] = [index]
+                    mask_of[root] = common
                 else:
-                    held.add(value)
+                    members.append(index)
+                    mask_of[root] &= common
+                if value is not None:
+                    held = valences_of.get(root)
+                    if held is None:
+                        valences_of[root] = {value}
+                    else:
+                        held.add(value)
+                index += 1
 
         empty: frozenset = frozenset()
         valences_get = valences_of.get
@@ -347,7 +365,6 @@ class ComponentAnalysis:
         depth = self.depth
         self.components: list[Component] = []
         components_append = self.components.append
-        component_of_root: dict[int, int] = {}
         for component_id, (root, members) in enumerate(members_of.items()):
             held = valences_get(root)
             components_append(
@@ -360,47 +377,59 @@ class ComponentAnalysis:
                     space=space,
                 )
             )
-            component_of_root[root] = component_id
         comp_ids = [0] * count
         for cid, component in enumerate(self.components):
             for index in component._members:
                 comp_ids[index] = cid
         self.comp_ids = comp_ids
         self.member_order = self.comp_starts = None
-        # view bucket -> first node index (the universal algorithm's
-        # lookup); the (p, view) -> component map is built lazily because
-        # the solvability checker never queries it.
-        self._buckets = buckets
 
-    def _analyze_numpy(self, np, store, table, interner, n: int, count: int) -> None:
-        """Vectorized component pass over the flat layer column.
+    def _analyze_numpy(self, np, store, interner, n: int, count: int) -> None:
+        """Vectorized component pass over the factored layer.
 
-        Two prefixes are adjacent iff they share a ``(view, p)`` key.  Per
-        process column, one scatter ``rep[view] = cell`` and one gather
-        ``rep[view]`` give every prefix a representative holding the same
-        key; the star edges ``cell -> rep`` (self-loops kept, so the CSR
-        matrix has exactly ``n`` entries per row and builds without a COO
-        pass) span a graph over the ``count`` prefixes alone.  scipy's
-        weak ``connected_components`` solves it in one C-level pass;
-        without scipy, :meth:`_sv_labels` hooks roots along the same
-        edges.  Both number components in first-member order; an O(count)
-        check confirms it, and the unique/argsort remap runs only if it
-        fails.  Masks and valence bitmaps then fold with ``reduceat``.
+        Two prefixes are adjacent iff they share a view.  Per process, the
+        representative of prefix ``x * W + w`` is ``xrep[x, mask] * W +
+        wordrep[w]`` (module docstring): one scatter/gather over the word
+        views gives ``wordrep``, one ``np.unique`` over the coded (mask,
+        projection) pairs gives ``xrep``.  The star edges ``cell -> rep``
+        (self-loops kept, so the CSR matrix has exactly ``n`` entries per
+        row and builds without a COO pass) span a graph over the
+        ``count`` prefixes alone.  scipy's weak ``connected_components``
+        solves it in one C-level pass; without scipy, :meth:`_sv_labels`
+        hooks roots along the same edges.  Both number components in
+        first-member order; an O(count) check confirms it, and the
+        unique/argsort remap runs only if it fails.  Masks and valence
+        bitmaps then fold with ``reduceat``.
         """
-        mat = table.array()
-        origin_masks = np.frombuffer(interner._origin_mask, dtype=np.int64)
+        words = store.word_levels.array()
+        width = store.width
+        inputs = store.inputs
+        mask_view = np.frombuffer(interner._origin_mask, dtype=np.int64)
+        masks = mask_view[words]
+        del mask_view
+        word_masks = np.bitwise_and.reduce(masks, axis=1)
+        # xrep[x, u]: the first input vector projecting like x onto the
+        # u-th distinct mask, pre-scaled to its first prefix.
+        uniq, mask_codes = np.unique(masks, return_inverse=True)
+        mask_codes = mask_codes.reshape(words.shape)
+        proj = self.space.projection_matrix(np, uniq)
         index_dtype = np.int32 if count * n < 2**31 else np.int64
-        cells = np.arange(count, dtype=index_dtype)
-        reps = np.empty((count, n), dtype=index_dtype)
-        node_masks = np.full(count, full_mask(n), dtype=np.int64)
+        xrep = np.empty((inputs, len(uniq)), dtype=index_dtype)
+        for u in range(len(uniq)):
+            _, first, inverse = np.unique(
+                proj[:, u], return_index=True, return_inverse=True
+            )
+            xrep[:, u] = first[inverse.reshape(-1)] * width
+        word_cells = np.arange(width, dtype=index_dtype)
+        reps = np.empty((inputs, width, n), dtype=index_dtype)
         for p in range(n):
-            views = mat[:, p]
-            node_masks &= origin_masks[views]
+            views = words[:, p]
             shifted = views - views.min()
             rep = np.empty(int(shifted.max()) + 1, dtype=index_dtype)
-            rep[shifted] = cells
-            reps[:, p] = rep[shifted]
-        del shifted, rep
+            rep[shifted] = word_cells
+            reps[:, :, p] = xrep[:, mask_codes[:, p]] + rep[shifted][None, :]
+        del shifted, rep, xrep
+        reps = reps.reshape(count, n)
         csgraph = _scipy_csgraph()
         if csgraph is not None:
             csr_matrix, connected_components = csgraph
@@ -411,10 +440,11 @@ class ComponentAnalysis:
             labels = connected_components(graph, directed=True, connection="weak")[1]
             del graph, indptr
         else:
+            cells = np.arange(count, dtype=index_dtype)
             cross = reps != cells[:, None]
             src = np.broadcast_to(cells[:, None], reps.shape)[cross]
             labels = self._sv_labels(np, src, reps[cross], count)
-            del cross, src
+            del cross, src, cells
         del reps
         comp_ids = labels.astype(np.int64, copy=False)
         running = np.maximum.accumulate(comp_ids)
@@ -430,29 +460,34 @@ class ComponentAnalysis:
             comp_ids = remap[inverse.reshape(-1)]
 
         # Valence bitmaps: one bit per distinct unanimity value, coded per
-        # input vector once and gathered per prefix.
+        # input vector once and gathered per member.
         space = self.space
         unanimity = space.unanimity_by_index
         value_list = list(dict.fromkeys(v for v in unanimity if v is not None))
         bit_of = {value: 1 << i for i, value in enumerate(value_list)}
         input_bits = np.array([bit_of.get(v, 0) for v in unanimity], dtype=np.int64)
-        node_bits = input_bits[store.input_array()]
 
         if ncomp == 1:
             member_order = np.arange(count, dtype=np.int64)
             comp_starts = np.zeros(1, dtype=np.int64)
             members_split = [member_order]
+            comp_masks = [int(np.bitwise_and.reduce(word_masks))]
+            comp_bits = [int(np.bitwise_or.reduce(input_bits))]
         else:
             member_order = np.argsort(comp_ids, kind="stable")
             comp_starts = np.zeros(ncomp, dtype=np.int64)
             np.cumsum(
                 np.bincount(comp_ids, minlength=ncomp)[:-1], out=comp_starts[1:]
             )
-            node_masks = node_masks[member_order]
-            node_bits = node_bits[member_order]
+            member_inputs, member_words = np.divmod(member_order, width)
+            comp_masks = np.bitwise_and.reduceat(
+                word_masks[member_words], comp_starts
+            ).tolist()
+            comp_bits = np.bitwise_or.reduceat(
+                input_bits[member_inputs], comp_starts
+            ).tolist()
+            del member_inputs, member_words
             members_split = np.split(member_order, comp_starts[1:].tolist())
-        comp_masks = np.bitwise_and.reduceat(node_masks, comp_starts).tolist()
-        comp_bits = np.bitwise_or.reduceat(node_bits, comp_starts).tolist()
 
         # Valence frozensets are interned per bitmap.
         valences_of: dict[int, frozenset] = {0: frozenset()}
@@ -471,9 +506,6 @@ class ComponentAnalysis:
         self.comp_ids = comp_ids
         self.member_order = member_order
         self.comp_starts = comp_starts
-        # The (p, view) -> component lookup recomputes its key index
-        # lazily from the store (cold path; the checker never calls it).
-        self._buckets = None
 
     @staticmethod
     def _sv_labels(np, src, dst, count: int):
@@ -508,7 +540,15 @@ class ComponentAnalysis:
     # ------------------------------------------------------------------ #
 
     def component_of(self, node: PrefixNode) -> Component:
-        """The component containing a node of this layer."""
+        """The component containing a node of this layer.
+
+        Raises :class:`~repro.errors.AnalysisError` for a node of another
+        layer or another prefix space (its index means nothing here).
+        """
+        if not self.space.owns_node(self.depth, node):
+            raise AnalysisError(
+                f"{node!r} is not a node of depth {self.depth} of this prefix space"
+            )
         return self.components[int(self.comp_ids[node.index])]
 
     def component_of_view(self, p: int, view_id: int) -> Component | None:
@@ -518,27 +558,21 @@ class ComponentAnalysis:
         returned component (that is what indistinguishability means); `None`
         if the view does not occur at this depth.
         """
+        space = self.space
+        key = space.view_key(view_id)
+        if key is None or space.interner.pid(view_id) != p:
+            return None
         view_map = self._view_map
         if view_map is None:
-            n = self.space.adversary.n
-            comp_ids = self.comp_ids
-            if self._buckets is not None:
-                view_map = {
-                    (key % n, key // n): int(comp_ids[first])
-                    for key, first in self._buckets.items()
-                }
-            else:
-                np = numpy_module()
-                mat = self.space.layer_store(self.depth).levels.array()
-                keys = (mat * n + np.arange(n, dtype=np.int64)).reshape(-1)
-                uniq_keys, first_cells = np.unique(keys, return_index=True)
-                reps = (first_cells // n).tolist()
-                view_map = {
-                    (key % n, key // n): int(comp_ids[rep])
-                    for key, rep in zip(uniq_keys.tolist(), reps)
-                }
-            self._view_map = view_map
-        cid = view_map.get((p, view_id))
+            # Cold path (the checker never queries it): factored key of
+            # every cell -> the component of its prefix.
+            n = space.adversary.n
+            comp_ids = plain_ids(self.comp_ids)
+            keys = plain_ids(space.view_keys(self.depth))
+            view_map = self._view_map = {
+                key: comp_ids[cell // n] for cell, key in enumerate(keys)
+            }
+        cid = view_map.get(key)
         return None if cid is None else self.components[cid]
 
     def bivalent_components(self) -> list[Component]:

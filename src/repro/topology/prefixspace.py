@@ -16,21 +16,33 @@ not prefixes of points of ``PS`` at all).
 
 Storage layout
 --------------
-Layers are stored *columnar* (:class:`LayerStore`) and stay arrays end to
-end: the view levels of a layer are one flat
-:class:`~repro.core.views.LayerTable` column (``count * n`` interned view
-ids), parent and input indices are machine-integer columns, and the
-round-graph/state columns never materialize per-child Python objects:
-single-alphabet layers store a constant-width tile, state-grouped layers
-a small item table plus one integer code per prefix.  This is the
-representation the hot analyses (components, decision tables,
-ε-approximations) consume directly — the whole-layer extension kernel
-produces it, the component analysis unions over it, and the decision-table
-builder folds over it, so a solvability check never expands a layer into
-per-prefix Python objects.  The :class:`PrefixNode` wrappers of the
-original API are materialized lazily (and cached) when a consumer asks for
-them, with full-history :class:`~repro.core.ptg.PTGPrefix` objects whose
-construction is amortized O(1) per node through parent-history sharing.
+A prefix is a pair (input assignment ``x``, graph word ``w``), and the
+layer is the full cross product of the input vectors with the admissible
+words: the views of ``w`` do not depend on ``x`` except at their origins.
+So a layer stores *words only* (:class:`LayerStore`): one flat
+:class:`~repro.core.views.LayerTable` of input-free views per word, the
+word-parent column, and the round-graph/state columns (single-alphabet
+layers a constant-width tile, state-grouped layers a small item table plus
+one integer code per word).  The full layer is implicit: prefix
+``x * W_t + w`` is input vector ``x`` with word ``w`` (``W_t`` words at
+depth ``t``), and its parent is ``x * W_{t-1} + parent(w)`` — the same
+order the per-assignment layers always had.  The process-``p`` view of a
+prefix is in bijection with its *factored key*::
+
+    key = word_view * R + sum(digit(x_q) * D**q for q in origin_mask(word_view))
+
+with ``D`` the number of distinct input values and ``R = D**n`` (for the
+binary domain this is ``word_view << n | (x_bits & origin_mask)``);
+:meth:`PrefixSpace.view_keys` builds the key column of a layer and
+:meth:`PrefixSpace.view_key` keys one full view.  The component analysis,
+the decision tables, and their validation consume the word columns and
+the keys, so a solvability check extends each word once, not once per
+input assignment, and never expands a layer into per-prefix Python
+objects.  Full view ids are materialized only on demand: the
+:attr:`LayerStore.levels` accessor (cold) and the lazily cached
+:class:`PrefixNode` wrappers, whose full-history
+:class:`~repro.core.ptg.PTGPrefix` objects are amortized O(1) per node
+through parent-history sharing.
 
 Streaming and eviction
 ----------------------
@@ -42,10 +54,10 @@ frontier advances, historical layers are *condensed* down to the columnar
 history the layered analyses actually touch — parent links and input
 indices.  The contract:
 
-* ``parents``, ``input_idx``, and ``len(store)`` stay valid at every depth;
-* ``levels``, ``graphs``, and ``states`` are only available on the frontier
-  layer; touching them on a condensed layer raises
-  :class:`~repro.errors.AnalysisError`;
+* ``word_parents``, ``parents``, ``input_idx``, and ``len(store)`` stay
+  valid at every depth;
+* ``word_levels``, ``levels``, ``graphs``, and ``states`` are only
+  available on the frontier layer (``None`` on a condensed one);
 * :class:`PrefixNode` / :class:`~repro.core.ptg.PTGPrefix` materialization
   needs the graph history of *every* ancestor layer, so it is unavailable
   in frontier mode altogether (it raises once any ancestor is condensed).
@@ -68,15 +80,20 @@ from repro.core.inputs import (
 )
 from repro.core.ptg import PTGPrefix
 from repro.core.views import (
+    INPUT_FREE,
     LayerTable,
     ViewInterner,
-    int64_column,
     numpy_module,
     plain_ids,
 )
 from repro.errors import AnalysisError
 
 __all__ = ["PrefixNode", "PrefixSpace", "LayerStore", "LayerView"]
+
+#: Below this many (prefix, process) cells the key column is built in
+#: plain Python: the vectorized builder's fixed cost (a few ``np.unique``
+#: and broadcast calls, about 35 us) dominates small layers.
+_KEYS_NUMPY_MIN_CELLS = 1024
 
 
 class PrefixNode:
@@ -189,71 +206,142 @@ class _CodedColumn(Sequence):
 
 
 class LayerStore:
-    """Columnar storage of one layer: parallel per-prefix columns.
+    """Columnar storage of one layer, factored as input vectors x graph words.
+
+    Prefix ``i`` of the layer is input vector ``i // width`` with word
+    ``i % width``; ``len(store)`` counts the full prefixes.
 
     Attributes
     ----------
-    levels:
-        The :class:`~repro.core.views.LayerTable` of this depth — one flat
-        view-id column; ``levels[i]`` materializes the level tuple of
-        prefix ``i`` on demand.
-    parents:
-        Per prefix, the index of its depth ``t - 1`` truncation (``-1`` on
-        the root layer); an ``array('q')`` or int64 numpy column.
-    input_idx:
-        Per prefix, the index into ``space.input_vectors`` (same column
-        kinds as ``parents``).
-    graphs:
-        Per prefix, the communication graph of the last round (``None`` on
+    word_levels:
+        The :class:`~repro.core.views.LayerTable` of the input-free views
+        of each word — one flat view-id column, ``width * n`` ids.
+    word_parents:
+        Per word, the index of its depth ``t - 1`` truncation in the
+        previous layer's words (``-1`` on the root layer); an
+        ``array('q')`` or int64 numpy column.
+    word_graphs:
+        Per word, the communication graph of the last round (``None`` on
         the root layer).  Single-alphabet layers store a tiled column (the
         per-parent tile repeated); state-grouped layers a coded column: a
-        small table of distinct graphs plus one integer code per prefix.
-    states:
-        Per prefix, the adversary's reachable state set (tiled or coded
+        small table of distinct graphs plus one integer code per word.
+    word_states:
+        Per word, the adversary's reachable state set (tiled or coded
         likewise; the codes of a coded state column are what the next
         extension groups parents by).
+    inputs, width, parent_width:
+        The number of input vectors, of words, and of words one layer up.
+
+    The per-prefix columns of the unfactored layout — :attr:`levels`,
+    :attr:`parents`, :attr:`input_idx`, :attr:`graphs`, :attr:`states` —
+    are computed on access from the word columns (cold paths and tests).
     """
 
-    __slots__ = ("levels", "parents", "input_idx", "graphs", "states", "nodes", "count")
+    __slots__ = (
+        "word_levels",
+        "word_parents",
+        "word_graphs",
+        "word_states",
+        "nodes",
+        "inputs",
+        "width",
+        "parent_width",
+        "_space",
+        "_full",
+    )
 
-    def __init__(self, levels, parents, input_idx, graphs, states) -> None:
-        if not isinstance(levels, LayerTable) and levels is not None:
-            levels = LayerTable.from_levels(
-                len(levels[0]) if levels else 0, levels
-            )
-        self.levels: LayerTable | None = levels
-        self.parents = parents
-        self.input_idx = input_idx
-        self.graphs = graphs
-        self.states = states
+    def __init__(
+        self, space: "PrefixSpace", word_levels, word_parents, graphs, states,
+        parent_width: int,
+    ) -> None:
+        self.word_levels: LayerTable | None = word_levels
+        self.word_parents = word_parents
+        self.word_graphs = graphs
+        self.word_states = states
+        self.inputs: int = len(space.input_vectors)
+        self.width: int = len(word_levels)
+        self.parent_width = parent_width
+        self._space = space
         #: Lazy cache of materialized :class:`PrefixNode` wrappers (sparse:
         #: deep layers hold millions of prefixes, wrappers are rare).
         self.nodes: dict[int, PrefixNode] | None = {}
-        #: Layer size; survives :meth:`condense`.
-        self.count: int = len(levels) if levels is not None else 0
+        #: Lazy cache of the per-prefix columns (cold accessors below).
+        self._full: dict[str, Any] = {}
 
     def __len__(self) -> int:
-        return self.count
+        return self.inputs * self.width
 
     @property
     def condensed(self) -> bool:
         """Whether the heavy columns have been evicted (``retain="frontier"``)."""
-        return self.levels is None
+        return self.word_levels is None
 
     def condense(self) -> None:
-        """Drop the heavy columns, keeping parents/input indices and the size."""
-        self.levels = None
-        self.graphs = None
-        self.states = None
+        """Drop the heavy columns, keeping the word parents and the sizes."""
+        self.word_levels = None
+        self.word_graphs = None
+        self.word_states = None
         self.nodes = None
+        self._full = {}
 
-    def parent_array(self):
-        """The parents column as an int64 numpy array (vectorized paths)."""
-        return int64_column(self.parents)
+    def _per_prefix(self, name: str, build, needs_words: bool = True) -> Any:
+        """A cached per-prefix column (``None`` once condensed if it is
+        built from the dropped word columns)."""
+        column = self._full.get(name)
+        if column is None:
+            if needs_words and self.condensed:
+                return None
+            column = self._full[name] = build()
+        return column
 
-    def input_array(self):
-        """The input-index column as an int64 numpy array."""
-        return int64_column(self.input_idx)
+    @property
+    def levels(self) -> LayerTable | None:
+        """The full view ids of every prefix (cold; ``None`` when condensed).
+
+        Materialized once, on first access, by placing each input vector
+        at the origins of the word views
+        (:meth:`~repro.core.views.ViewInterner.with_inputs`); the hot
+        analyses read :attr:`word_levels` and the factored keys instead.
+        """
+        return self._per_prefix("levels", self._full_levels)
+
+    def _full_levels(self) -> LayerTable:
+        space = self._space
+        words = plain_ids(self.word_levels.ids)
+        flat = array("q")
+        for vec in space.input_vectors:
+            flat.extend(space.interner.with_inputs(words, vec))
+        return LayerTable(space.adversary.n, flat)
+
+    @property
+    def graphs(self) -> list | None:
+        """Per prefix, the last round's graph (``None`` when condensed)."""
+        return self._per_prefix(
+            "graphs", lambda: list(self.word_graphs) * self.inputs
+        )
+
+    @property
+    def states(self) -> list | None:
+        """Per prefix, the reachable state set (``None`` when condensed)."""
+        return self._per_prefix(
+            "states", lambda: list(self.word_states) * self.inputs
+        )
+
+    @property
+    def parents(self) -> array:
+        """Per prefix, the index of its depth ``t - 1`` truncation."""
+        return self._per_prefix("parents", lambda: array("q", [
+            x * self.parent_width + wp
+            for x in range(self.inputs)
+            for wp in plain_ids(self.word_parents)
+        ]), needs_words=False)
+
+    @property
+    def input_idx(self) -> array:
+        """Per prefix, the index into ``space.input_vectors``."""
+        return self._per_prefix("input_idx", lambda: array(
+            "q", [x for x in range(self.inputs) for _ in range(self.width)]
+        ), needs_words=False)
 
 
 class LayerView(Sequence):
@@ -373,18 +461,31 @@ class PrefixSpace:
             raise AnalysisError(
                 f"adversary {adversary.name} admits no infinite sequences"
             )
-        leaf_level = self.interner.leaf_level
-        count = len(vectors)
-        flat = array("q")
+        # The factored-key coding: input values get digits in first
+        # occurrence order, and vector x contributes digit(x_q) * D**q at
+        # every origin q (see the module docstring).
+        digit_of: dict = {}
         for vec in vectors:
-            flat.extend(leaf_level(vec))
+            for value in vec:
+                digit_of.setdefault(value, len(digit_of))
+        radix = len(digit_of)
+        self._digit_of = digit_of
+        #: ``R = D**n``: the factored key of a view is ``word_view * R + proj``.
+        self.key_radix = radix**adversary.n
+        self._input_weights = [
+            [digit_of[value] * radix**q for q, value in enumerate(vec)]
+            for vec in vectors
+        ]
+        self._projections: dict[int, list[int]] = {}
+        root = self.interner.leaf_level((INPUT_FREE,) * adversary.n)
         self._stores: list[LayerStore] = [
             LayerStore(
-                levels=LayerTable(adversary.n, flat),
-                parents=array("q", [-1]) * count,
-                input_idx=array("q", range(count)),
-                graphs=_TiledColumn([None], count),
-                states=_TiledColumn([initial_states], count),
+                self,
+                word_levels=LayerTable(adversary.n, array("q", root)),
+                word_parents=array("q", [-1]),
+                graphs=_TiledColumn([None], 1),
+                states=_TiledColumn([initial_states], 1),
+                parent_width=0,
             )
         ]
 
@@ -400,27 +501,28 @@ class PrefixSpace:
     def extend(self) -> None:
         """Construct the next layer (depth + 1).
 
-        Parents are grouped by the adversary's reachable state set —
-        oblivious adversaries collapse the whole layer into one group,
-        stabilizing/eventually-forever adversaries into a few state-keyed
-        groups, in order of first occurrence — and each group's successor
-        levels are interned by one whole-layer kernel call
+        Only the graph words are extended.  Parent words are grouped by the
+        adversary's reachable state set — oblivious adversaries collapse
+        the whole layer into one group, stabilizing/eventually-forever
+        adversaries into a few state-keyed groups, in order of first
+        occurrence — and each group's successor levels are interned by one
+        whole-layer kernel call
         (:meth:`~repro.core.views.ViewInterner.extend_layer_table`), whose
         column output goes straight into the child layer's flat columns.
-        Children are emitted in the same parent-major, alphabet-minor
-        order as always, so layer indexing is unchanged.
+        Children are emitted parent-major, alphabet-minor, so the implicit
+        full layer keeps its ``x * W_t + w`` order.
         """
         current = self._stores[-1]
         if current.condensed:
             raise AnalysisError("cannot extend: the frontier layer was condensed")
         adversary = self.adversary
-        count = len(current)
+        count = current.width
         np = numpy_module() if self.interner.layer_backend == "numpy" else None
-        items, codes = _state_codes(current.states, np)
+        items, codes = _state_codes(current.word_states, np)
         exts_of = [adversary.admissible_extensions(states) for states in items]
-        # The node budget is checkable before any interning happens: every
-        # parent contributes exactly one child per admissible extension of
-        # its state set.
+        # The node budget (full prefixes) is checkable before any interning
+        # happens: every parent word contributes exactly one child word per
+        # admissible extension of its state set.
         width_of = [len(exts) for exts in exts_of]
         widths: Any  # one count for the whole layer, else one per parent
         if codes is None:
@@ -433,7 +535,7 @@ class PrefixSpace:
             codes = plain_ids(codes)
             widths = list(map(width_of.__getitem__, codes))
             child_count = sum(widths)
-        if child_count > self.max_nodes:
+        if child_count * len(self.input_vectors) > self.max_nodes:
             raise AnalysisError(
                 f"prefix space exceeds max_nodes={self.max_nodes} at "
                 f"depth {self.depth + 1}; reduce depth or inputs"
@@ -445,31 +547,25 @@ class PrefixSpace:
         if codes is None:
             # One kernel call over the whole layer; columns interleave flat.
             tables = self.interner.extend_layer_table(
-                current.levels, adversary.extension_alphabet(items[0])
+                current.word_levels, adversary.extension_alphabet(items[0])
             )
-            levels = _interleave_tables(adversary.n, count, tables)
+            words = _interleave_tables(adversary.n, count, tables)
             graphs = _TiledColumn([graph for graph, _ in exts_of[0]], count)
             states = _TiledColumn([nxt for _, nxt in exts_of[0]], count)
         else:
-            levels, graphs, states = self._extend_grouped(
-                current.levels, items, codes, exts_of, widths, child_count, np
+            words, graphs, states = self._extend_grouped(
+                current.word_levels, items, codes, exts_of, widths, child_count, np
             )
         if np is not None:
             parents = np.repeat(np.arange(count, dtype=np.int64), widths)
-            input_idx = np.repeat(current.input_array(), widths)
-        elif codes is None:
-            parents = array("q", bytes(8 * child_count))
-            input_idx = array("q", bytes(8 * child_count))
-            base = array("q", range(count))
-            for j in range(widths):
-                parents[j::widths] = base
-                input_idx[j::widths] = current.input_idx
         else:
-            parents = array("q", chain.from_iterable(map(repeat, range(count), widths)))
-            input_idx = array(
-                "q", chain.from_iterable(map(repeat, current.input_idx, widths))
+            per_parent = repeat(widths, count) if codes is None else widths
+            parents = array(
+                "q", chain.from_iterable(map(repeat, range(count), per_parent))
             )
-        self._stores.append(LayerStore(levels, parents, input_idx, graphs, states))
+        self._stores.append(
+            LayerStore(self, words, parents, graphs, states, parent_width=count)
+        )
         if self.retain == "frontier":
             self._stores[-2].condense()
 
@@ -611,7 +707,11 @@ class PrefixSpace:
         return self._materialize(t, index)
 
     def _materialize(self, t: int, index: int) -> PrefixNode:
-        """Build (and cache) the node wrapper for one columnar entry."""
+        """Build (and cache) the node wrapper for one implicit prefix.
+
+        The full views are interned here, one level per node, by extending
+        the parent node's last level by the word's graph.
+        """
         store = self._stores[t]
         if store.condensed:
             raise AnalysisError(
@@ -622,49 +722,138 @@ class PrefixSpace:
         node = store.nodes.get(index)
         if node is not None:
             return node
-        input_index = int(store.input_idx[index])
+        if not 0 <= index < len(store):
+            raise IndexError(index)
+        input_index, word = divmod(index, store.width)
         if t == 0:
+            inputs = self.input_vectors[input_index]
             prefix = PTGPrefix._make(
-                self.interner,
-                self.input_vectors[input_index],
-                (),
-                (store.levels[index],),
+                self.interner, inputs, (), (self.interner.leaf_level(inputs),)
             )
-            node = PrefixNode(index, None, input_index, prefix, store.states[index])
+            node = PrefixNode(index, None, input_index, prefix, store.word_states[word])
         else:
-            parent_index = int(store.parents[index])
+            parent_index = (
+                input_index * store.parent_width + int(store.word_parents[word])
+            )
             parent = self._materialize(t - 1, parent_index)
             parent_prefix = parent.prefix
+            graph = store.word_graphs[word]
+            level = self.interner.extend_level(parent_prefix._view_history[-1], graph)
             prefix = PTGPrefix._make(
                 self.interner,
                 parent_prefix.inputs,
-                parent_prefix.graphs + (store.graphs[index],),
-                parent_prefix._view_history + (store.levels[index],),
+                parent_prefix.graphs + (graph,),
+                parent_prefix._view_history + (level,),
             )
             node = PrefixNode(
-                index, parent_index, input_index, prefix, store.states[index]
+                index, parent_index, input_index, prefix, store.word_states[word]
             )
         store.nodes[index] = node
         return node
 
+    def owns_node(self, t: int, node: object) -> bool:
+        """Whether ``node`` is the materialized node of layer ``t`` of this space."""
+        if not 0 <= t <= self.depth:
+            return False
+        nodes = self._stores[t].nodes
+        index = getattr(node, "index", None)
+        return nodes is not None and index is not None and nodes.get(index) is node
+
     def parent_of(self, t: int, index: int) -> PrefixNode | None:
         """The depth ``t - 1`` truncation of a node (None at the root)."""
         self.ensure_depth(t)
-        parent = int(self._stores[t].parents[index])
-        if parent < 0:
+        if t == 0:
             return None
+        store = self._stores[t]
+        input_index, word = divmod(int(index), store.width)
+        parent = input_index * store.parent_width + int(store.word_parents[word])
         return self._materialize(t - 1, parent)
 
     def unanimous_nodes(self, t: int) -> dict:
         """Map value -> list of unanimous (``v``-valent) nodes at depth ``t``."""
-        store = self.layer_store(t)
-        unanimity = self.unanimity_by_index
+        width = self.layer_store(t).width
         result: dict = {}
-        for index, inp in enumerate(store.input_idx):
-            value = unanimity[inp]
+        for x, value in enumerate(self.unanimity_by_index):
             if value is not None:
-                result.setdefault(value, []).append(self._materialize(t, index))
+                result.setdefault(value, []).extend(
+                    self._materialize(t, x * width + w) for w in range(width)
+                )
         return result
+
+    def view_keys(self, t: int):
+        """The factored key of every (prefix, process) cell of layer ``t``.
+
+        A flat column laid out like the full view ids (cell ``i * n + p``
+        is process ``p`` of prefix ``i``): an int64 numpy array on the
+        numpy backend when the layer is large and the keys fit 63 bits,
+        else a list of ints (consumers normalize either way).
+        Keys are in bijection with the full views of the layer, and keys of
+        different depths or processes never collide (see the module
+        docstring for the encoding).  Cached on the layer store, so the
+        decision maps and their validation build it once.
+        """
+        store = self.layer_store(t)
+        np = numpy_module()
+        if (
+            np is not None
+            and self.interner.layer_backend == "numpy"
+            and len(store) * self.adversary.n >= _KEYS_NUMPY_MIN_CELLS
+            and self.keys_fit_int64()
+        ):
+            return store._per_prefix("keys", lambda: _view_keys_numpy(np, self, store))
+        return store._per_prefix("keys", lambda: _view_keys_python(self, store))
+
+    def keys_fit_int64(self) -> bool:
+        """Whether every factored key of this space fits a signed int64."""
+        return (len(self.interner) + 1) * self.key_radix < 2**63
+
+    def projections(self, mask: int) -> list[int]:
+        """Per input vector, the low part of its factored key under ``mask``.
+
+        Two vectors agree on the processes of an origin mask iff their
+        projections onto it are equal.
+        """
+        projections = self._projections.get(mask)
+        if projections is None:
+            columns = [
+                column
+                for q, column in enumerate(zip(*self._input_weights))
+                if mask >> q & 1
+            ]
+            projections = self._projections[mask] = (
+                list(map(sum, zip(*columns)))
+                if columns
+                else [0] * len(self._input_weights)
+            )
+        return projections
+
+    def projection_matrix(self, np, masks):
+        """:meth:`projections` for an int64 column of masks, as one
+        ``(inputs, len(masks))`` integer matrix product."""
+        bits = (masks[:, None] >> np.arange(self.adversary.n, dtype=np.int64)) & 1
+        return np.asarray(self._input_weights, dtype=np.int64) @ bits.T
+
+    def view_key(self, view_id: int) -> int | None:
+        """The factored key of one full view (None if no layer holds it).
+
+        Translates through the interner's memoized input-free lookup and
+        the view's observed origin values.
+        """
+        interner = self.interner
+        if not 0 <= view_id < len(interner):
+            return None
+        free = interner.input_free(view_id)
+        if free < 0:
+            return None
+        digit_of = self._digit_of
+        radix = len(digit_of)
+        proj = 0
+        for q, value in interner.origins(view_id):
+            digit = digit_of.get(value)
+            if digit is None:
+                return None
+            proj += digit * radix**q
+        return free * self.key_radix + proj
 
     def layer_sizes(self) -> list[int]:
         """Sizes of all constructed layers."""
@@ -674,9 +863,13 @@ class PrefixSpace:
         """The node with the given inputs and graph word at depth ``t``."""
         inputs = tuple(inputs)
         graphs = tuple(word)
-        for node in self.layer(t):
-            if node.inputs == inputs and node.prefix.graphs == graphs:
-                return node
+        width = self.layer_store(t).width
+        if inputs in self.input_vectors:
+            base = self.input_vectors.index(inputs) * width
+            for index in range(base, base + width):
+                node = self._materialize(t, index)
+                if node.prefix.graphs == graphs:
+                    return node
         raise AnalysisError("no such admissible prefix")
 
     def __repr__(self) -> str:
@@ -738,3 +931,35 @@ def _coded_column(entries: list, ext_codes, np) -> _CodedColumn:
     if np is not None:
         return _CodedColumn(items, np.asarray(codes, dtype=np.int64)[ext_codes])
     return _CodedColumn(items, array("q", map(codes.__getitem__, ext_codes)))
+
+
+def _view_keys_python(space: PrefixSpace, store: LayerStore) -> list[int]:
+    """Factored keys of a layer, in plain Python (see :meth:`view_keys`)."""
+    radix = space.key_radix
+    masks = space.interner._origin_mask
+    words = plain_ids(store.word_levels.ids)
+    word_keys = [vid * radix for vid in words]
+    word_masks = [masks[vid] for vid in words]
+    projections = {mask: space.projections(mask) for mask in set(word_masks)}
+    keys: list[int] = []
+    for x in range(store.inputs):
+        proj_of = {mask: proj[x] for mask, proj in projections.items()}
+        keys.extend(map(int.__add__, word_keys, map(proj_of.__getitem__, word_masks)))
+    return keys
+
+
+def _view_keys_numpy(np, space: PrefixSpace, store: LayerStore):
+    """Factored keys of a layer as one int64 column (numpy backend).
+
+    The origin masks of the word views are coded densely; the projection
+    of every input vector onto every distinct mask is one small integer
+    matrix product, and the keys broadcast as ``(inputs, words, n)``.
+    """
+    words = store.word_levels.array()
+    mask_view = np.frombuffer(space.interner._origin_mask, dtype=np.int64)
+    masks = mask_view[words]
+    del mask_view
+    uniq, mask_codes = np.unique(masks, return_inverse=True)
+    proj = space.projection_matrix(np, uniq)
+    keys = words * space.key_radix
+    return (keys[None] + proj[:, mask_codes.reshape(words.shape)]).reshape(-1)

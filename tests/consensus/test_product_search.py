@@ -51,7 +51,7 @@ from repro.specs import random_rooted_specs
 
 
 def _product_lasso_search(
-    adversary: MessageAdversary, forbidden_mask_test
+    adversary: MessageAdversary, forbidden_mask_test, tables=None
 ) -> tuple[GraphWord, GraphWord] | None:
     """Find an admissible lasso whose heard-of masks always satisfy a test.
 
@@ -147,9 +147,13 @@ BODIES = [
 
 @pytest.fixture(params=BODIES)
 def body(request, monkeypatch):
-    """Force one per-node body; returns (name, per-body call counts)."""
+    """Force one per-node body; returns (name, per-body call counts).
+
+    Every state takes the letter table here, however few its letters; the
+    per-letter step of small alphabets has its own test below."""
     floor = 0 if request.param == "numpy" else float("inf")
     monkeypatch.setattr(provers, "_LASSO_NUMPY_MIN_LETTERS", floor)
+    monkeypatch.setattr(provers, "_LASSO_TABLE_MIN_LETTERS", 0)
     calls = {"python": 0, "numpy": 0}
     for name in calls:
         original = getattr(provers, f"_distinct_successors_{name}")
@@ -353,6 +357,42 @@ def test_heard_of_n4_recorded_parity(predicate, search, body):
         lasso = find_lasso_avoiding_broadcast_by(adversary, search)
     assert _words(lasso) == expected
     assert body[1][body[0]] > 0
+
+
+# --------------------------------------------------------------------- #
+# Small alphabets: the per-letter step
+# --------------------------------------------------------------------- #
+
+
+@given(
+    adversary=st.one_of(
+        st.lists(st.sampled_from(G3), min_size=1, max_size=7, unique=True).map(
+            lambda graphs: ObliviousAdversary(3, graphs)
+        ),
+        st.builds(
+            lambda base, window: StabilizingAdversary(
+                3, base, window, require_rooted=False
+            ),
+            st.lists(st.sampled_from(G3), min_size=2, max_size=7, unique=True),
+            st.integers(1, 3),
+        ),
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_small_alphabets_step_per_letter(adversary):
+    """Below the table floor no letter table is built, and the searches
+    return the per-letter scan's words."""
+    built = []
+    original = provers._LetterTable
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    with mock.patch.object(provers, "_LetterTable", recording):
+        got = _results(adversary)
+    assert built == []
+    assert got == _reference_results(adversary)
 
 
 # --------------------------------------------------------------------- #

@@ -33,6 +33,7 @@ from repro.adversaries.stabilizing import StabilizingAdversary
 from repro.core.digraph import arrow
 from repro.core.inputs import all_assignments, binary_domain
 from repro.core.views import (
+    INPUT_FREE,
     LAYER_BACKENDS,
     LayerTable,
     ViewInterner,
@@ -50,12 +51,11 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 @pytest.fixture(autouse=True)
 def batch_even_tiny_layers(monkeypatch):
-    """Drop the batch-size floors so test-sized layers actually exercise
-    the batched kernels instead of the tiny-layer per-parent fallback."""
+    """Drop the numpy size floor so test-sized layers actually exercise
+    the vectorized kernel instead of the small-layer Python kernel."""
     import repro.core.views as views_module
 
     monkeypatch.setattr(views_module, "_NUMPY_MIN_CELLS", 0)
-    monkeypatch.setattr(views_module, "_BATCH_MIN_CELLS", 0)
 
 
 def canonical(interner, vid, cache):
@@ -118,6 +118,16 @@ def per_parent_layers(adversary, depth, interner, input_vectors=None):
 def assert_space_matches_reference(adversary, depth, backend):
     space = PrefixSpace(adversary, layer_backend=backend)
     space.ensure_depth(depth)
+    # No phantom views/rows: the space extends the input-free words only,
+    # and the kernel interns exactly what the per-parent path interns from
+    # the one input-free root level (checked before the full views below
+    # are materialized into the same interner).
+    word_reference = ViewInterner(adversary.n)
+    per_parent_layers(
+        adversary, depth, word_reference, [(INPUT_FREE,) * adversary.n]
+    )
+    assert len(space.interner) == len(word_reference)
+    assert space.interner.stats().rows == word_reference.stats().rows
     reference = ViewInterner(adversary.n)
     layers = per_parent_layers(adversary, depth, reference)
     for t, (levels, parents, graphs) in enumerate(layers):
@@ -130,9 +140,6 @@ def assert_space_matches_reference(adversary, depth, backend):
         assert canonical_levels(space.interner, store.levels) == (
             canonical_levels(reference, levels)
         )
-    # No phantom views/rows: the kernel interns exactly the per-parent set.
-    assert len(space.interner) == len(reference)
-    assert space.interner.stats().rows == reference.stats().rows
 
 
 FAMILIES = [

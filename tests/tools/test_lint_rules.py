@@ -291,6 +291,20 @@ def test_r6_flags_materialization_in_hot_path():
     assert "_extend_numpy" in found[0].message
 
 
+R6_BAD_FULL_VIEWS = """\
+def _extend_numpy(space, t):
+    return space.layer_store(t).levels.array()
+"""
+
+
+def test_r6_flags_full_view_reads_in_hot_path():
+    found = findings(R6_BAD_FULL_VIEWS, select={"R6"}, config=R6_CONFIG)
+    assert rules_of(found) == ["R6"]
+    assert ".levels" in found[0].message
+    cold = R6_BAD_FULL_VIEWS.replace("_extend_numpy", "render")
+    assert findings(cold, select={"R6"}, config=R6_CONFIG) == []
+
+
 def test_r6_allows_error_branches_and_cold_functions():
     assert findings(R6_GOOD_ERROR_BRANCH, select={"R6"}, config=R6_CONFIG) == []
     assert findings(R6_GOOD_OTHER_FUNCTION, select={"R6"}, config=R6_CONFIG) == []

@@ -32,7 +32,7 @@ from repro.adversaries import (
 from repro.adversaries.stabilizing import StabilizingAdversary
 from repro.consensus.decision import build_decision_table
 from repro.consensus.spec import STRONG, WEAK, ConsensusSpec
-from repro.core.digraph import arrow
+from repro.core.digraph import Digraph, arrow
 from repro.core.graphword import full_mask
 from repro.core.views import numpy_available
 from repro.errors import AnalysisError
@@ -211,8 +211,13 @@ def assert_tables_match(analysis, reference, spec):
     table = build_decision_table(analysis, spec)
     assignment, final, early = expected
     assert table.assignment == assignment
-    assert table.final == final
-    assert table.early == early
+    # The table keys its maps by factored view keys; the reference by full
+    # view ids.  The translation is a bijection, so the maps must agree
+    # entry for entry once the reference is re-keyed.
+    key = analysis.space.view_key
+    assert table.final == {key(vid): value for vid, value in final.items()}
+    assert table.early == {key(vid): value for vid, value in early.items()}
+    assert all(table.decision_for_view(vid) == value for vid, value in early.items())
 
 
 FAMILIES = [
@@ -321,3 +326,37 @@ def test_backends_agree_on_summaries():
                 ComponentAnalysis(space, t).summary() for t in range(3)
             ]
         assert summaries["python"] == summaries["numpy"]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only lookups")
+@pytest.mark.parametrize("span_factor", [0, 8], ids=["binary-search", "dense"])
+def test_vectorized_validation_lookups(monkeypatch, span_factor):
+    """Both key lookups of the vectorized validation (a dense table over a
+    compact key range, binary search over a wide one) accept a certified
+    table and reject it once a decided view is dropped."""
+    import repro.consensus.decision as decision_module
+    from repro.errors import CertificateError
+
+    monkeypatch.setattr(decision_module, "_DENSE_SPAN_FACTOR", span_factor)
+    space = PrefixSpace(santoro_widmayer_family(3, 1), layer_backend="numpy")
+    table = build_decision_table(ComponentAnalysis(space, 2), ConsensusSpec())
+    table.validate()
+    del table.early[next(iter(table.final))]
+    with pytest.raises(CertificateError, match="termination"):
+        table.validate()
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy-only guard")
+def test_keys_wider_than_int64_fall_back_to_python_ints():
+    """240 input values on n=8 make R = D**n exceed int64: the vectorized
+    component and decision passes must route to the Python passes."""
+    vectors = [(v,) + (0,) * 7 for v in range(240)]
+    adversary = ObliviousAdversary(8, [Digraph.complete(8)])
+    space = PrefixSpace(adversary, input_vectors=vectors, layer_backend="numpy")
+    assert not space.keys_fit_int64()
+    analysis, _ = assert_components_match(space, 1)
+    table = build_decision_table(analysis, ConsensusSpec(range(240)))
+    node = space.layer(1)[3]
+    assert table.decision_for_view(node.prefix.view(4, 1)) == (
+        table.assignment[analysis.component_of(node).id]
+    )

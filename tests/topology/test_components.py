@@ -224,3 +224,40 @@ class TestEpsApproximation:
         approx = EpsApproximation(space, 1, space.layer(1)[0])
         assert approx.contains_valence(0)
         assert approx.contains_valence(1)
+
+
+class TestForeignNodes:
+    """Membership and lookup reject nodes of another layer or space.
+
+    Both used to index by ``node.index`` alone, so a depth-3 node of
+    lossy-full (whose index is a valid depth-1 index) was reported as a
+    member of a depth-1 approximation, and so was a node of a different
+    prefix space.
+    """
+
+    def test_approximation_rejects_a_node_of_another_layer(self):
+        space = PrefixSpace(lossy_link_full())
+        approx = EpsApproximation(space, 1, space.layer(1)[0])
+        assert len(approx) == len(space.layer(1))  # one component
+        deep = space.layer(3)[0]
+        assert deep.index in approx.member_indices
+        assert deep not in approx
+        assert all(node in approx for node in space.layer(1))
+
+    def test_approximation_rejects_a_node_of_another_space(self):
+        space = PrefixSpace(lossy_link_full())
+        other = PrefixSpace(lossy_link_full())
+        approx = EpsApproximation(space, 1, space.layer(1)[0])
+        assert other.layer(1)[0] not in approx
+        with pytest.raises(AnalysisError):
+            EpsApproximation(space, 1, other.layer(1)[0])
+
+    def test_component_of_rejects_foreign_nodes(self):
+        space = PrefixSpace(lossy_link_no_hub())
+        other = PrefixSpace(lossy_link_no_hub())
+        analysis = ComponentAnalysis(space, 1)
+        assert analysis.component_of(space.layer(1)[2]) is not None
+        with pytest.raises(AnalysisError):
+            analysis.component_of(space.layer(3)[2])
+        with pytest.raises(AnalysisError):
+            analysis.component_of(other.layer(1)[2])

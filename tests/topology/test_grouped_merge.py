@@ -69,9 +69,13 @@ def reference_layer(space, t):
         exts = adversary.admissible_extensions(node_states)
         if not exts:
             continue
-        calls.setdefault(
-            node_states, (adversary.extension_alphabet(node_states), store.levels[i])
-        )
+        # Kernel calls extend the input-free words: the group's first
+        # parent prefix lies in the first input block, so it is word i.
+        if node_states not in calls:
+            calls[node_states] = (
+                adversary.extension_alphabet(node_states),
+                store.word_levels[i],
+            )
         outs = space.interner._extend_batch(
             store.levels[i], adversary.extension_alphabet(node_states)
         )
@@ -122,7 +126,7 @@ def check_space(adversary, depth, backend, retain="all"):
         assert list(child.graphs) == graphs
         assert list(child.states) == states
         # Coded columns keep a table of distinct items.
-        for column in (child.graphs, child.states):
+        for column in (child.word_graphs, child.word_states):
             if isinstance(column, _CodedColumn):
                 assert len(set(column.items)) == len(column.items)
         if retain == "frontier":
@@ -189,5 +193,5 @@ def test_many_groups_on_a_large_layer(backend):
     """A layer big enough for the vectorized kernels, several groups deep."""
     graphs = tuple(all_rooted_digraphs(3))[:5]
     space = check_space(StabilizingAdversary(3, graphs, 2), 4, backend)
-    assert isinstance(space.layer_store(4).states, _CodedColumn)
-    assert len(space.layer_store(4).states.items) > 1
+    assert isinstance(space.layer_store(4).word_states, _CodedColumn)
+    assert len(space.layer_store(4).word_states.items) > 1
