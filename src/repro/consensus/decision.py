@@ -49,7 +49,14 @@ _DECISION_NUMPY_MIN_CELLS = 2048
 
 #: The vectorized validation looks decisions up in a dense table over the
 #: layer's key range when the range is at most this many times the number
-#: of (prefix, process) cells, else by binary search.
+#: of (prefix, process) cells, else by binary search.  Measured (2-core
+#: x86, numpy 2.4): the dense lookup is 12-28x faster at a range of one
+#: cell count (70k-500k cells), 10x at 16 and 1.2x at 64; inside the
+#: check-deep checks it takes 55-72 ms against 213-236 ms for binary search
+#: (three alternating runs), at ranges up to 0.14 cell counts.  The factor
+#: caps the table at 8 int64 slots per cell: on a shared interner a
+#: layer's word views can be interned far apart (a 4-graph oblivious n=4
+#: space after Santoro-Widmayer n=4 reads 9.2 at 4096 cells, 152 at 256).
 _DENSE_SPAN_FACTOR = 8
 
 #: The vectorized folds encode value sets as int64 bitmaps; instances with

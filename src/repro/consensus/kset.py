@@ -10,7 +10,11 @@ values, so the decision structure is not a component labelling but a
 per-view assignment subject to per-execution cardinality constraints.  On a
 depth-``t`` prefix space this is a finite constraint-satisfaction problem:
 
-* variables: the views occurring at depth ``t`` (each owned by a process);
+* variables: the views occurring at depth ``t`` (each owned by a process),
+  keyed by their factored keys
+  (:meth:`~repro.topology.prefixspace.PrefixSpace.view_keys`, one per full
+  view), so the check materializes no prefix node except to report a
+  failure;
 * per admissible prefix: the set of its ``n`` views' values has size ≤ k;
 * validity: weak — a view occurring in a unanimous-``v`` prefix is forced
   to ``v``; strong — a view's value must be an input of every prefix it
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from repro.adversaries.base import MessageAdversary
 from repro.consensus.spec import STRONG, ConsensusSpec
-from repro.core.views import ViewInterner
+from repro.core.views import ViewInterner, plain_ids
 from repro.errors import AnalysisError, CertificateError
 from repro.topology.prefixspace import PrefixSpace
 
@@ -35,7 +39,11 @@ __all__ = ["KSetTable", "check_kset_by_depth", "kset_depth_sweep"]
 
 
 class KSetTable:
-    """A certified per-view decision map for k-set agreement at a depth."""
+    """A certified per-view decision map for k-set agreement at a depth.
+
+    ``assignment`` maps the factored key of every depth-``depth`` view to
+    its value; :meth:`decision_for_view` takes full view ids.
+    """
 
     __slots__ = ("space", "depth", "k", "spec", "assignment")
 
@@ -54,46 +62,67 @@ class KSetTable:
         self.assignment = assignment
 
     def decision_for_view(self, view_id: int):
-        """The decided value of the process holding ``view_id``."""
-        return self.assignment[view_id]
+        """The decided value of the process holding ``view_id``.
+
+        Raises :class:`KeyError` for a view that does not occur at the
+        table's depth.
+        """
+        return self.assignment[self.space.view_key(view_id)]
 
     def validate(self) -> None:
         """Re-check the k-set contract over the whole prefix layer."""
-        n = self.space.adversary.n
-        for node in self.space.layer(self.depth):
-            views = node.prefix.views(self.depth)
+        space = self.space
+        depth = self.depth
+        width = space.layer_store(depth).width
+        input_sets = [set(vec) for vec in space.input_vectors]
+        strong = self.spec.validity == STRONG
+        for index, views in enumerate(_prefix_keys(space, depth)):
             values = {self.assignment[v] for v in views}
+            x = index // width
             if len(values) > self.k:
                 raise CertificateError(
-                    f"{len(values)} > k = {self.k} values in {node!r}"
+                    f"{len(values)} > k = {self.k} values in "
+                    f"{space.node(depth, index)!r}"
                 )
-            unanimous = node.unanimous_value
+            unanimous = space.unanimity_by_index[x]
             if unanimous is not None and values != {unanimous}:
-                raise CertificateError(f"validity violation in {node!r}")
-            if self.spec.validity == STRONG and not values <= set(node.inputs):
-                raise CertificateError(f"strong validity violation in {node!r}")
+                raise CertificateError(
+                    f"validity violation in {space.node(depth, index)!r}"
+                )
+            if strong and not values <= input_sets[x]:
+                raise CertificateError(
+                    f"strong validity violation in {space.node(depth, index)!r}"
+                )
 
     def __repr__(self) -> str:
         return f"KSetTable(k={self.k}, depth={self.depth}, views={len(self.assignment)})"
 
 
+def _prefix_keys(space: PrefixSpace, depth: int) -> list[tuple[int, ...]]:
+    """Per prefix of layer ``depth``, the factored keys of its ``n`` views."""
+    n = space.adversary.n
+    keys = plain_ids(space.view_keys(depth))
+    return [tuple(keys[cell : cell + n]) for cell in range(0, len(keys), n)]
+
+
 def _view_domains(
     space: PrefixSpace, depth: int, spec: ConsensusSpec
 ) -> tuple[dict[int, set], list[tuple[int, ...]]]:
-    """Per-view value domains and the per-prefix view tuples."""
-    n = space.adversary.n
+    """Per-view value domains and the per-prefix view-key tuples."""
+    width = space.layer_store(depth).width
     domains: dict[int, set] = {}
-    prefix_views: list[tuple[int, ...]] = []
-    for node in space.layer(depth):
-        views = node.prefix.views(depth)
-        prefix_views.append(views)
-        unanimous = node.unanimous_value
+    prefix_views = _prefix_keys(space, depth)
+    strong = spec.validity == STRONG
+    for index, views in enumerate(prefix_views):
+        x = index // width
+        unanimous = space.unanimity_by_index[x]
+        inputs = space.input_vectors[x]
         for v in views:
             domain = domains.setdefault(v, set(spec.domain))
             if unanimous is not None:
                 domain &= {unanimous}
-            if spec.validity == STRONG:
-                domain &= set(node.inputs)
+            if strong:
+                domain &= set(inputs)
     return domains, prefix_views
 
 
@@ -129,10 +158,12 @@ def check_kset_by_depth(
         analysis = ComponentAnalysis(space, depth)
         if not all(spec.allowed_values(c) for c in analysis.components):
             return None
+        picked = [spec.pick_value(c) for c in analysis.components]
+        comp_ids = plain_ids(analysis.comp_ids)
         assignment: dict[int, object] = {}
-        for node in space.layer(depth):
-            value = spec.pick_value(analysis.component_of(node))
-            for v in node.prefix.views(depth):
+        for index, views in enumerate(_prefix_keys(space, depth)):
+            value = picked[comp_ids[index]]
+            for v in views:
                 assignment[v] = value
         table = KSetTable(space, depth, k, spec, assignment)
         table.validate()
@@ -165,7 +196,7 @@ def check_kset_by_depth(
 
     # Forward-checking backtracking with dynamic most-constrained-first
     # variable selection.  A static variable order is fragile — its
-    # tie-break depends on the view-id numbering, which the layer-kernel
+    # tie-break depends on the view-key numbering, which the layer-kernel
     # backends deliberately do not fix — so the search instead prunes as
     # it assigns: once a prefix has ``k`` distinct assigned values, every
     # unassigned view of that prefix is restricted to those values, and an

@@ -42,7 +42,9 @@ each automaton state is coded once per search as a letter table (the
 distinct in-rows per process, each letter's index into them, a code per
 distinct successor set), and a node folds its masks once per distinct
 in-row, packs one (masks, successor set) key per letter and keeps the
-*first* letter per key.  States with at least
+*first* letter per key.  States with fewer than
+``_LASSO_TABLE_MIN_LETTERS`` letters step every letter instead, which is
+cheaper on small alphabets.  States with at least
 ``_LASSO_NUMPY_MIN_LETTERS`` letters whose key fits an int64 run the numpy
 body when numpy imports; all others run the pure-Python body.  Both return
 the same keys in the same order, and the kept edges are exactly the ones
@@ -84,9 +86,14 @@ __all__ = [
 _LASSO_NUMPY_MIN_LETTERS = 64
 
 #: Below this many letters a state's successors are stepped letter by
-#: letter: a :class:`_LetterTable` cannot amortize its construction there
-#: (on 2-3 letter alphabets it was most of a full check's cost).
-_LASSO_TABLE_MIN_LETTERS = 8
+#: letter instead of through a :class:`_LetterTable`.  Measured on the
+#: lasso plus broadcaster searches of random oblivious n=2/3/4 alphabets
+#: (five draws per size, 2-core x86): per-letter stepping takes 0.54-0.67x
+#: the table's time at 2-4 letters, 0.6-0.7x at 6, 0.8-0.9x at 8, breaks
+#: even at 12 (0.99-1.07x), and is 1.2x slower at 16, 1.3-1.6x at 24 and
+#: 2.3-2.4x at 64.  The per-letter step wins on small alphabets per node,
+#: not only by skipping the table's construction.
+_LASSO_TABLE_MIN_LETTERS = 12
 
 #: The numpy body packs a successor key into one int64 (sign bit unused).
 _NUMPY_KEY_BITS = 63
@@ -193,9 +200,7 @@ def _distinct_successors_numpy(
 
 
 def _product_lasso_search(
-    adversary: MessageAdversary,
-    forbidden_mask_test,
-    tables: dict[Any, "_LetterTable"] | None = None,
+    adversary: MessageAdversary, forbidden_mask_test
 ) -> tuple[GraphWord, GraphWord] | None:
     """Find an admissible lasso whose heard-of masks always satisfy a test.
 
@@ -216,12 +221,10 @@ def _product_lasso_search(
     node, in first-occurrence order.  The exploration and the cycle/path
     searches only ever follow the first edge to each successor in a
     node's edge list, which is exactly the edge the first letter gives, so
-    the returned words equal those of a per-letter scan.  ``tables`` (state
-    -> letter table) may be shared between the searches of one adversary,
-    so the lasso and broadcaster searches of a check build each state's
-    table once.  States with fewer than ``_LASSO_TABLE_MIN_LETTERS``
-    letters skip the table and step every letter; a repeated successor
-    node keeps its first letter's edge, so the edges are the same.
+    the returned words equal those of a per-letter scan.  States with
+    fewer than ``_LASSO_TABLE_MIN_LETTERS`` letters skip the table and step
+    every letter; a repeated successor node keeps its first letter's edge,
+    so the edges are the same.
     States with at least ``_LASSO_NUMPY_MIN_LETTERS`` letters whose key
     fits an int64 run the numpy body when numpy is available; all others
     run the Python body, with identical results.
@@ -239,8 +242,7 @@ def _product_lasso_search(
         (state, initial_masks)
         for state in adversary.initial_states() & adversary.live_states()
     }
-    if tables is None:
-        tables = {}
+    tables: dict[Any, _LetterTable] = {}
     edges: dict[tuple, list[tuple[Digraph, tuple]]] = {}
     stack = list(start_nodes)
     seen = set(start_nodes)
@@ -248,7 +250,7 @@ def _product_lasso_search(
         state, masks = stack.pop()
         transitions = adversary.transitions(state)
         if len(transitions) < _LASSO_TABLE_MIN_LETTERS:
-            # Too few letters to amortize a table: step every letter.
+            # A small alphabet steps faster letter by letter than by table.
             steps: Iterable[tuple] = [
                 (heard_of_step(graph, masks), graph, successors)
                 for graph, successors in transitions.items()
@@ -356,7 +358,7 @@ def _find_path(edges, sources: set, target) -> list[Digraph] | None:
 
 
 def find_nonbroadcastable_lasso(
-    adversary: MessageAdversary, *, tables: dict | None = None
+    adversary: MessageAdversary,
 ) -> tuple[GraphWord, GraphWord] | None:
     """An admissible lasso on which *no* process is ever heard by everyone.
 
@@ -364,8 +366,6 @@ def find_nonbroadcastable_lasso(
     the proof of Theorem 5.11); ``None`` means every admissible ultimately
     periodic sequence eventually has a broadcaster — and since the search is
     exact over the finite product, every admissible sequence does.
-    ``tables`` shares per-state letter tables with other searches over the
-    same adversary (see :func:`_product_lasso_search`).
     """
 
     def nobody_broadcast(masks: tuple[int, ...]) -> bool:
@@ -374,16 +374,15 @@ def find_nonbroadcastable_lasso(
             common &= mask
         return common == 0
 
-    return _product_lasso_search(adversary, nobody_broadcast, tables)
+    return _product_lasso_search(adversary, nobody_broadcast)
 
 
 def find_lasso_avoiding_broadcast_by(
-    adversary: MessageAdversary, p: int, *, tables: dict | None = None
+    adversary: MessageAdversary, p: int
 ) -> tuple[GraphWord, GraphWord] | None:
     """An admissible lasso on which process ``p`` is never heard by everyone.
 
     Raises :class:`~repro.errors.AnalysisError` unless ``0 <= p < n``.
-    ``tables`` shares per-state letter tables between searches.
     """
     if not 0 <= p < adversary.n:
         raise AnalysisError(
@@ -393,24 +392,19 @@ def find_lasso_avoiding_broadcast_by(
     def p_not_broadcast(masks: tuple[int, ...]) -> bool:
         return any(not (mask >> p & 1) for mask in masks)
 
-    return _product_lasso_search(adversary, p_not_broadcast, tables)
+    return _product_lasso_search(adversary, p_not_broadcast)
 
 
-def find_guaranteed_broadcaster(
-    adversary: MessageAdversary, *, tables: dict | None = None
-) -> int | None:
+def find_guaranteed_broadcaster(adversary: MessageAdversary) -> int | None:
     """A process heard by everyone, eventually, in every admissible sequence.
 
     If such a ``p`` exists, "decide ``x_p`` upon hearing ``p``" solves
     consensus (every component is broadcastable by ``p``; Theorem 5.11),
     even for non-compact adversaries whose prefix spaces never separate.
-    Returns the smallest such process, or None.  The per-process searches
-    share one set of letter tables (and ``tables``, when given).
+    Returns the smallest such process, or None.
     """
-    if tables is None:
-        tables = {}
     for p in range(adversary.n):
-        if find_lasso_avoiding_broadcast_by(adversary, p, tables=tables) is None:
+        if find_lasso_avoiding_broadcast_by(adversary, p) is None:
             return p
     return None
 

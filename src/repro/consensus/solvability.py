@@ -429,13 +429,11 @@ def check_consensus_with_options(
         input_vectors = all_assignments(adversary.n, spec.domain)
 
     history: list[DepthReport] = []
-    # Per-state letter tables, shared by every product search of the check.
-    tables: dict = {}
 
     # 1. Sound impossibility certificates.
     impossibility = None
     if use_impossibility_provers:
-        lasso = find_nonbroadcastable_lasso(adversary, tables=tables)
+        lasso = find_nonbroadcastable_lasso(adversary)
         if lasso is not None:
             impossibility = ImpossibilityWitness(
                 "nonbroadcastable-lasso", lasso=lasso
@@ -495,7 +493,7 @@ def check_consensus_with_options(
     # 3. Guaranteed-broadcaster certificate (decisive for non-compact
     #    adversaries whose prefix spaces never separate).
     if use_broadcaster_certificate:
-        broadcaster = find_guaranteed_broadcaster(adversary, tables=tables)
+        broadcaster = find_guaranteed_broadcaster(adversary)
         if broadcaster is not None:
             return SolvabilityResult(
                 adversary=adversary,

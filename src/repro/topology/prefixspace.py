@@ -51,13 +51,13 @@ Deep spaces are consumed frontier-by-frontier through
 :class:`LayerStore` at a time.  With the opt-in ``retain="frontier"``
 eviction mode, only the newest layer keeps its heavy columns; as the
 frontier advances, historical layers are *condensed* down to the columnar
-history the layered analyses actually touch — parent links and input
-indices.  The contract:
+history the layered analyses actually touch — the word-parent links and
+the layer's shape.  The contract:
 
-* ``word_parents``, ``parents``, ``input_idx``, and ``len(store)`` stay
-  valid at every depth;
-* ``word_levels``, ``levels``, ``graphs``, and ``states`` are only
-  available on the frontier layer (``None`` on a condensed one);
+* ``word_parents``, ``inputs``, ``width``, and ``len(store)`` stay valid
+  at every depth;
+* ``word_levels``, ``levels``, ``word_graphs``, and ``word_states`` are
+  only available on the frontier layer (``None`` on a condensed one);
 * :class:`PrefixNode` / :class:`~repro.core.ptg.PTGPrefix` materialization
   needs the graph history of *every* ancestor layer, so it is unavailable
   in frontier mode altogether (it raises once any ancestor is condensed).
@@ -232,9 +232,9 @@ class LayerStore:
     inputs, width, parent_width:
         The number of input vectors, of words, and of words one layer up.
 
-    The per-prefix columns of the unfactored layout — :attr:`levels`,
-    :attr:`parents`, :attr:`input_idx`, :attr:`graphs`, :attr:`states` —
-    are computed on access from the word columns (cold paths and tests).
+    Prefix ``i`` has parent ``i // width * parent_width +
+    word_parents[i % width]``; the full view ids of the unfactored layout
+    are the cold :attr:`levels` accessor.
     """
 
     __slots__ = (
@@ -265,7 +265,7 @@ class LayerStore:
         #: Lazy cache of materialized :class:`PrefixNode` wrappers (sparse:
         #: deep layers hold millions of prefixes, wrappers are rare).
         self.nodes: dict[int, PrefixNode] | None = {}
-        #: Lazy cache of the per-prefix columns (cold accessors below).
+        #: Lazy cache of the per-prefix columns (full views, factored keys).
         self._full: dict[str, Any] = {}
 
     def __len__(self) -> int:
@@ -284,12 +284,11 @@ class LayerStore:
         self.nodes = None
         self._full = {}
 
-    def _per_prefix(self, name: str, build, needs_words: bool = True) -> Any:
-        """A cached per-prefix column (``None`` once condensed if it is
-        built from the dropped word columns)."""
+    def _per_prefix(self, name: str, build) -> Any:
+        """A cached per-prefix column (``None`` once condensed)."""
         column = self._full.get(name)
         if column is None:
-            if needs_words and self.condensed:
+            if self.condensed:
                 return None
             column = self._full[name] = build()
         return column
@@ -312,36 +311,6 @@ class LayerStore:
         for vec in space.input_vectors:
             flat.extend(space.interner.with_inputs(words, vec))
         return LayerTable(space.adversary.n, flat)
-
-    @property
-    def graphs(self) -> list | None:
-        """Per prefix, the last round's graph (``None`` when condensed)."""
-        return self._per_prefix(
-            "graphs", lambda: list(self.word_graphs) * self.inputs
-        )
-
-    @property
-    def states(self) -> list | None:
-        """Per prefix, the reachable state set (``None`` when condensed)."""
-        return self._per_prefix(
-            "states", lambda: list(self.word_states) * self.inputs
-        )
-
-    @property
-    def parents(self) -> array:
-        """Per prefix, the index of its depth ``t - 1`` truncation."""
-        return self._per_prefix("parents", lambda: array("q", [
-            x * self.parent_width + wp
-            for x in range(self.inputs)
-            for wp in plain_ids(self.word_parents)
-        ]), needs_words=False)
-
-    @property
-    def input_idx(self) -> array:
-        """Per prefix, the index into ``space.input_vectors``."""
-        return self._per_prefix("input_idx", lambda: array(
-            "q", [x for x in range(self.inputs) for _ in range(self.width)]
-        ), needs_words=False)
 
 
 class LayerView(Sequence):

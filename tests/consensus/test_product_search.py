@@ -51,7 +51,7 @@ from repro.specs import random_rooted_specs
 
 
 def _product_lasso_search(
-    adversary: MessageAdversary, forbidden_mask_test, tables=None
+    adversary: MessageAdversary, forbidden_mask_test
 ) -> tuple[GraphWord, GraphWord] | None:
     """Find an admissible lasso whose heard-of masks always satisfy a test.
 
@@ -366,14 +366,14 @@ def test_heard_of_n4_recorded_parity(predicate, search, body):
 
 @given(
     adversary=st.one_of(
-        st.lists(st.sampled_from(G3), min_size=1, max_size=7, unique=True).map(
+        st.lists(st.sampled_from(G3), min_size=1, max_size=11, unique=True).map(
             lambda graphs: ObliviousAdversary(3, graphs)
         ),
         st.builds(
             lambda base, window: StabilizingAdversary(
                 3, base, window, require_rooted=False
             ),
-            st.lists(st.sampled_from(G3), min_size=2, max_size=7, unique=True),
+            st.lists(st.sampled_from(G3), min_size=2, max_size=11, unique=True),
             st.integers(1, 3),
         ),
     )

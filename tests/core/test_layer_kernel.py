@@ -134,9 +134,14 @@ def assert_space_matches_reference(adversary, depth, backend):
         store = space.layer_store(t)
         # Ordering columns are id-free and must match exactly (columns may
         # be arrays/tiles; compare their materialized contents).
-        assert list(store.parents) == parents
+        width = store.width
+        prefixes = range(len(store))
+        assert [
+            i // width * store.parent_width + int(store.word_parents[i % width])
+            for i in prefixes
+        ] == parents
         if t:
-            assert list(store.graphs) == graphs
+            assert [store.word_graphs[i % width] for i in prefixes] == graphs
         assert canonical_levels(space.interner, store.levels) == (
             canonical_levels(reference, levels)
         )

@@ -80,7 +80,7 @@ class ReferenceComponents:
                     uf.union(first, index)
             node_masks.append(common)
         unanimity = space.unanimity_by_index
-        input_idx = list(store.input_idx)
+        input_idx = [index // store.width for index in range(len(store))]
         members_of = {}
         valences_of = {}
         mask_of = {}
@@ -173,7 +173,11 @@ class ReferenceComponents:
                 for vid in level_store.levels[index]:
                     possible[vid] = possible.get(vid, 0) | bits
             if s:
-                parents = list(level_store.parents)
+                parents = [
+                    index // level_store.width * level_store.parent_width
+                    + int(level_store.word_parents[index % level_store.width])
+                    for index in range(len(level_store))
+                ]
                 parent_bits = [0] * len(space.layer_store(s - 1))
                 for index, bits in enumerate(value_bits):
                     parent_bits[parents[index]] |= bits
@@ -311,7 +315,7 @@ def test_many_valued_domains_fall_back_to_exact_valences():
             if len(component) == 1:
                 index = component.member_indices[0]
                 store = space.layer_store(t)
-                value = space.unanimity_by_index[int(store.input_idx[index])]
+                value = space.unanimity_by_index[index // store.width]
                 expected = frozenset() if value is None else frozenset({value})
                 assert component.valences == expected
 

@@ -65,7 +65,7 @@ def reference_layer(space, t):
     levels, parents, inputs, graphs, states = [], [], [], [], []
     calls = {}
     for i in range(len(store)):
-        node_states = store.states[i]
+        node_states = store.word_states[i % store.width]
         exts = adversary.admissible_extensions(node_states)
         if not exts:
             continue
@@ -82,10 +82,27 @@ def reference_layer(space, t):
         for (graph, nxt), level in zip(exts, outs):
             levels.append(level)
             parents.append(i)
-            inputs.append(int(store.input_idx[i]))
+            inputs.append(i // store.width)
             graphs.append(graph)
             states.append(nxt)
     return (levels, parents, inputs, graphs, states), list(calls.values())
+
+
+def per_prefix(store):
+    """The parent, input, graph and state of every prefix of a layer, from
+    its word columns (prefix ``i`` is input ``i // width``, word
+    ``i % width``)."""
+    width = store.width
+    prefixes = range(len(store))
+    return (
+        [
+            i // width * store.parent_width + int(store.word_parents[i % width])
+            for i in prefixes
+        ],
+        [i // width for i in prefixes],
+        [store.word_graphs[i % width] for i in prefixes],
+        [store.word_states[i % width] for i in prefixes],
+    )
 
 
 @contextmanager
@@ -121,10 +138,7 @@ def check_space(adversary, depth, backend, retain="all"):
         child = space._stores[t + 1]
         levels, parents, inputs, graphs, states = expected
         assert child.levels.tolist() == levels
-        assert [int(p) for p in child.parents] == parents
-        assert [int(i) for i in child.input_idx] == inputs
-        assert list(child.graphs) == graphs
-        assert list(child.states) == states
+        assert per_prefix(child) == (parents, inputs, graphs, states)
         # Coded columns keep a table of distinct items.
         for column in (child.word_graphs, child.word_states):
             if isinstance(column, _CodedColumn):

@@ -84,6 +84,18 @@ class TestStructure:
             assert words == expected
 
 
+def assert_same_word_columns(store, other):
+    """Two layers agree on every word column and on their shape (the
+    per-prefix columns derive from these: prefix ``i`` is input
+    ``i // width`` with word ``i % width``)."""
+    assert (store.inputs, store.width, store.parent_width) == (
+        other.inputs, other.width, other.parent_width
+    )
+    assert list(store.word_parents) == list(other.word_parents)
+    assert list(store.word_graphs) == list(other.word_graphs)
+    assert list(store.word_states) == list(other.word_states)
+
+
 class TestStreaming:
     def test_iter_layers_matches_ensure_depth(self):
         materialized = PrefixSpace(lossy_link_full())
@@ -93,7 +105,9 @@ class TestStreaming:
         for depth, store in streamed.iter_layers(max_depth=4):
             seen.append((depth, len(store)))
             assert store.word_levels == materialized.layer_store(depth).word_levels
-            assert list(store.parents) == list(materialized.layer_store(depth).parents)
+            assert list(store.word_parents) == list(
+                materialized.layer_store(depth).word_parents
+            )
         assert seen == [(t, len(materialized.layer_store(t))) for t in range(5)]
 
     def test_iter_layers_resumes_on_partially_built_space(self):
@@ -112,17 +126,15 @@ class TestStreaming:
         full_store = materialized.layer_store(6)
         store = frontier.layer_store(6)
         assert store.levels == full_store.levels
-        assert list(store.parents) == list(full_store.parents)
-        assert list(store.input_idx) == list(full_store.input_idx)
-        assert list(store.graphs) == list(full_store.graphs)
-        assert list(store.states) == list(full_store.states)
-        # Historical layers keep sizes, parents, and input indices only.
+        assert_same_word_columns(store, full_store)
+        # Historical layers keep sizes and word parents only.
         assert frontier.layer_sizes() == materialized.layer_sizes()
         for t in range(6):
             condensed = frontier._stores[t]
+            full = materialized.layer_store(t)
             assert condensed.condensed
-            assert list(condensed.parents) == list(materialized.layer_store(t).parents)
-            assert list(condensed.input_idx) == list(materialized.layer_store(t).input_idx)
+            assert list(condensed.word_parents) == list(full.word_parents)
+            assert (condensed.inputs, condensed.width) == (full.inputs, full.width)
 
     def test_frontier_mode_matches_materialized_at_depth_8(self):
         """Deep streaming equality on the layer kernel: 4 * 3^8 prefixes.
@@ -139,10 +151,7 @@ class TestStreaming:
         full_store = materialized.layer_store(8)
         assert len(store) == 4 * 3**8
         assert store.levels == full_store.levels
-        assert list(store.parents) == list(full_store.parents)
-        assert list(store.input_idx) == list(full_store.input_idx)
-        assert list(store.graphs) == list(full_store.graphs)
-        assert list(store.states) == list(full_store.states)
+        assert_same_word_columns(store, full_store)
 
     def test_frontier_streaming_on_state_grouped_adversary(self):
         """Multi-group layers (eventually-forever) stream identically."""
@@ -153,7 +162,7 @@ class TestStreaming:
         )
         frontier.ensure_depth(6)
         assert frontier.layer_store(6).levels == materialized.layer_store(6).levels
-        assert frontier.layer_store(6).states == materialized.layer_store(6).states
+        assert_same_word_columns(frontier.layer_store(6), materialized.layer_store(6))
 
     def test_frontier_mode_reiteration_raises_instead_of_gutted_stores(self):
         space = PrefixSpace(lossy_link_no_hub(), retain="frontier")

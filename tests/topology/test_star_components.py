@@ -77,7 +77,7 @@ def reference(space, depth):
         for index in group:
             for vid in levels[index]:
                 mask &= space.interner.origin_mask(vid)
-            value = space.unanimity_by_index[store.input_idx[index]]
+            value = space.unanimity_by_index[index // store.width]
             if value is not None:
                 values.add(value)
         valences.append(frozenset(values))
