@@ -34,6 +34,8 @@ except to format a validation error.
 
 from __future__ import annotations
 
+import operator
+
 from repro.consensus.spec import STRONG, ConsensusSpec
 from repro.core.views import int64_column, numpy_module, plain_ids
 from repro.errors import AnalysisError, CertificateError
@@ -156,9 +158,9 @@ class DecisionTable:
         else:
             self._validate_python(store)
         # Early decisions must be consistent with final ones.
-        for view, value in self.final.items():
-            if self.early.get(view) != value:
-                raise CertificateError("early/final decision mismatch")
+        early_values = map(self.early.get, self.final.keys())
+        if any(map(operator.ne, early_values, self.final.values())):
+            raise CertificateError("early/final decision mismatch")
 
     def _validate_python(self, store) -> None:
         space = self.space
@@ -207,7 +209,7 @@ class DecisionTable:
         # over the sorted decided keys.
         early_keys = np.fromiter(self.early.keys(), dtype=np.int64, count=len(self.early))
         early_codes = np.fromiter(
-            (code_of[value] for value in self.early.values()),
+            map(code_of.__getitem__, self.early.values()),
             dtype=np.int64,
             count=len(self.early),
         )
@@ -341,9 +343,8 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     The vectorized pass below reproduces :meth:`ConsensusSpec.pick_value`
     for the library spec; subclasses overriding ``pick_value`` or
     ``allowed_values`` keep the per-component calls (their overrides must
-    observe every component).  The columnar pass also needs the
-    vectorized component analysis to have run (``comp_ids`` is then an
-    int64 column) and the domain to fit the int64 value bitmaps.
+    observe every component).  The columnar pass also needs the numpy
+    backend and the domain to fit the int64 value bitmaps.
     """
     np = numpy_module()
     if (
@@ -351,7 +352,6 @@ def _assign_values(analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
         or type(spec).pick_value is not ConsensusSpec.pick_value
         or type(spec).allowed_values is not ConsensusSpec.allowed_values
         or analysis.space.interner.layer_backend != "numpy"
-        or not isinstance(analysis.comp_ids, np.ndarray)
         or len(spec.domain) > _NUMPY_MAX_VALUES
     ):
         return {
@@ -369,9 +369,9 @@ _NO_VALUE = object()
 def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -> dict:
     """Whole-layer value assignment: forced valences + broadcaster pass.
 
-    The analysis's component-grouped member order (the one sort of the
-    layer) drives ``reduceat`` folds that answer, per component, everything
-    :meth:`ConsensusSpec.pick_value` asks member-by-member: the
+    Every member of a component ``K × C`` carries an input vector of its
+    class ``K``, so everything :meth:`ConsensusSpec.pick_value` asks
+    member-by-member folds once per input class with ``reduceat``: the
     strong-validity allowed sets (AND of per-input-vector value bitmaps)
     and each broadcaster's input value (min/max folds over per-process
     value codes, equal iff constant — the Theorem 5.9 check).  Preference
@@ -380,12 +380,16 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
     (cheap) per-component tie-break loop.
     """
     space = analysis.space
-    store = space.layer_store(analysis.depth)
     components = analysis.components
     ncomp = len(components)
-    member_order = analysis.member_order
-    comp_starts = analysis.comp_starts
-    member_inputs = member_order // store.width
+    classes = analysis.input_classes
+    component_classes = analysis.component_classes
+    class_inputs = np.fromiter(
+        (x for members in classes for x in members), dtype=np.int64
+    )
+    class_starts = np.cumsum(
+        [0] + [len(members) for members in classes[:-1]], dtype=np.int64
+    )
     input_vectors = space.input_vectors
     domain = spec.domain
     code_of = {value: i for i, value in enumerate(domain)}
@@ -402,10 +406,10 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
             count=len(input_vectors),
         )
         allowed_bits = np.bitwise_and.reduceat(
-            vec_bits[member_inputs], comp_starts
-        )
+            vec_bits[class_inputs], class_starts
+        ).tolist()
         for cid in range(ncomp):
-            bits = int(allowed_bits[cid])
+            bits = allowed_bits[component_classes[cid]]
             component = components[cid]
             if not bits:
                 raise AnalysisError(
@@ -452,11 +456,11 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
                         code = index_of[value] = len(uniq_values)
                         uniq_values.append(value)
                     codes[i] = code
-                member_codes = codes[member_inputs]
+                class_codes = codes[class_inputs]
                 stats = stats_cache[p] = (
                     uniq_values,
-                    np.minimum.reduceat(member_codes, comp_starts),
-                    np.maximum.reduceat(member_codes, comp_starts),
+                    np.minimum.reduceat(class_codes, class_starts).tolist(),
+                    np.maximum.reduceat(class_codes, class_starts).tolist(),
                 )
             return stats
 
@@ -464,13 +468,14 @@ def _assign_values_numpy(np, analysis: ComponentAnalysis, spec: ConsensusSpec) -
             component = components[cid]
             allowed = allowed_sets[cid]
             chosen = _NO_VALUE
+            k = component_classes[cid]
             for p in sorted(component.broadcasters):
                 uniq_values, lo, hi = broadcaster_stats(p)
-                if lo[cid] != hi[cid]:
-                    # Non-constant broadcaster: delegate to the member
-                    # scan for the exact Theorem 5.9 violation error.
+                if lo[k] != hi[k]:
+                    # Non-constant broadcaster: delegate to the class scan
+                    # for the exact Theorem 5.9 violation error.
                     component.broadcaster_value(p)
-                value = uniq_values[int(lo[cid])]
+                value = uniq_values[lo[k]]
                 if value in allowed:
                     chosen = value
                     break
@@ -538,11 +543,17 @@ def _decision_maps_python(
 def _decision_maps_numpy(
     np, space, depth, analysis, assignment, value_list, bit_of
 ) -> tuple[dict, dict]:
-    """Vectorized decision maps: per layer one sort/``reduceat`` fold.
+    """Vectorized decision maps, grouped by word view before input class.
 
-    Keys of different depths never collide, so the per-layer ``(unique
-    key, OR of value bits)`` pairs concatenate into the early map without
-    cross-layer merging; the parent push is a segment OR over the
+    A key is ``word_view * R + projection``.  Per layer the ``W * n`` word
+    cells sort by word view (no sort over the ``|X| * W * n`` keys), the
+    value bits OR per word view across every input row at once, and then,
+    per origin mask, across the projection classes of the input vectors
+    (:meth:`~repro.topology.prefixspace.PrefixSpace.projection_classes`,
+    the classes the component analysis links inputs by).  Keys of
+    different depths never collide, so the per-layer ``(key, OR of value
+    bits)`` pairs concatenate into the early map without cross-layer
+    merging; the parent push is a segment OR over the
     (parent-major-sorted) word-parent column, applied to every input row
     of the ``(inputs, words)`` value-bit matrix at once.
     """
@@ -555,37 +566,54 @@ def _decision_maps_numpy(
         comp_ids = np.array(comp_ids, dtype=np.int64)
     value_bits = comp_bits[comp_ids].reshape(store.inputs, store.width)
     n = space.adversary.n
+    radix = space.key_radix
+    origin_masks = np.frombuffer(space.interner._origin_mask, dtype=np.int64)
     final: dict[int, object] = {}
     all_keys: list = []
     all_bits: list = []
     for s in range(depth, -1, -1):
         level_store = space.layer_store(s)
-        flat = int64_column(space.view_keys(s))
-        cell_bits = np.repeat(value_bits.reshape(-1), n)
-        order = np.argsort(flat, kind="stable")
-        sorted_keys = flat[order]
-        boundary = np.empty(len(sorted_keys), dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        uniq_keys = sorted_keys[starts]
-        uniq_bits = np.bitwise_or.reduceat(cell_bits[order], starts)
-        all_keys.append(uniq_keys)
-        all_bits.append(uniq_bits)
+        cells = level_store.word_levels.array().reshape(-1)
+        order = np.argsort(cells)
+        views, starts = _segments(np, cells[order])
+        view_bits = np.bitwise_or.reduceat(value_bits[:, order // n], starts, axis=1)
+        masks = origin_masks[views]
+        by_mask = np.argsort(masks, kind="stable")
+        mask_values, mask_starts = _segments(np, masks[by_mask])
+        layer_keys: list = []
+        layer_bits: list = []
+        for mask, columns in zip(
+            mask_values.tolist(), np.split(by_mask, mask_starts[1:])
+        ):
+            class_of, projections = space.projection_classes(mask)
+            bits = view_bits[:, columns]
+            if len(projections) < len(class_of):
+                inputs_by_class = np.argsort(class_of, kind="stable")
+                _, class_starts = _segments(
+                    np, np.asarray(class_of, dtype=np.int64)[inputs_by_class]
+                )
+                bits = np.bitwise_or.reduceat(bits[inputs_by_class], class_starts)
+            layer_keys.append(
+                (
+                    views[columns][None, :] * radix
+                    + np.asarray(projections, dtype=np.int64)[:, None]
+                ).reshape(-1)
+            )
+            layer_bits.append(bits.reshape(-1))
+        keys = np.concatenate(layer_keys)
+        bits = np.concatenate(layer_bits)
+        all_keys.append(keys)
+        all_bits.append(bits)
         if s == depth:
             # The depth-t views are single-valued by construction; they
             # are exactly the final map.
-            final_codes = _bit_codes(np, uniq_bits)
-            final = {
-                key: value_list[code]
-                for key, code in zip(uniq_keys.tolist(), final_codes.tolist())
-            }
+            final_codes = _bit_codes(np, bits)
+            final = dict(
+                zip(keys.tolist(), map(value_list.__getitem__, final_codes.tolist()))
+            )
         if s:
             parents = int64_column(level_store.word_parents)
-            seg_boundary = np.empty(len(parents), dtype=bool)
-            seg_boundary[0] = True
-            np.not_equal(parents[1:], parents[:-1], out=seg_boundary[1:])
-            seg_starts = np.flatnonzero(seg_boundary)
+            _, seg_starts = _segments(np, parents)
             parent_bits = np.zeros(
                 (level_store.inputs, level_store.parent_width), dtype=np.int64
             )
@@ -601,11 +629,22 @@ def _decision_maps_numpy(
     decided = (bits != 0) & ((bits & (bits - 1)) == 0)
     decided_keys = keys[decided]
     decided_codes = _bit_codes(np, bits[decided])
-    early = {
-        key: value_list[code]
-        for key, code in zip(decided_keys.tolist(), decided_codes.tolist())
-    }
+    early = dict(
+        zip(
+            decided_keys.tolist(),
+            map(value_list.__getitem__, decided_codes.tolist()),
+        )
+    )
     return final, early
+
+
+def _segments(np, column):
+    """The run heads of a grouped column and the index where each run starts."""
+    boundary = np.empty(len(column), dtype=bool)
+    boundary[0] = True
+    np.not_equal(column[1:], column[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    return column[starts], starts
 
 
 def _bit_codes(np, bits):

@@ -58,8 +58,9 @@ class ConsensusSpec:
           prefixes: a unanimous-``v`` member forces value ``v``; two
           different valences force the empty set (bivalence).
         * Strong validity intersects, over all members, the sets of input
-          values present in the member's assignment — read straight off
-          the layer's input-index column, no node wrappers.
+          values present in the member's assignment — members share their
+          assignments with the component's input class, so only the class
+          is read.
         """
         if self.validity == WEAK:
             if not component.valences:
@@ -68,9 +69,8 @@ class ConsensusSpec:
                 return component.valences
             return frozenset()
         allowed = set(self.domain)
-        input_vectors = component._space.input_vectors
-        for input_index in component.member_input_indices():
-            allowed &= set(input_vectors[input_index])
+        for vector in component.input_vectors():
+            allowed &= set(vector)
             if not allowed:
                 break
         return frozenset(allowed)

@@ -20,40 +20,54 @@ characterizations need:
 * the broadcaster input values (Theorem 5.9 predicts they are constant per
   component — asserted here, making the theorem an executable invariant).
 
-Columnar pipeline
------------------
-The analysis consumes the layer's word columns directly — the
-:class:`~repro.core.views.LayerTable` of input-free word views, the input
-vectors, and the interner's origin-mask column — and produces columns: a
-per-prefix component-id column (``comp_ids``) plus per-component member
-index arrays.  Prefix ``x * W + w`` (input vector ``x``, word ``w``) and
-prefix ``x' * W + w'`` share the view of ``p`` iff the word views of ``p``
-agree and ``x``, ``x'`` agree on that view's origin mask, so the first
-prefix holding the view of a cell is arithmetic: the first input vector
-with the same projection (``xrep``) times ``W`` plus the first word with
-the same word view (``wordrep``).  Two equivalent paths sit behind the
-interner's ``layer_backend`` switch:
+Word-factored components
+------------------------
+Prefix ``x * W + w`` of a layer is input vector ``x`` with graph word ``w``
+(:mod:`repro.topology.prefixspace`), and the view of ``p`` in it is the
+input-free *word view* of ``p`` in ``w`` plus the inputs of ``x`` at that
+view's origins.  So ``(x, w)`` and ``(x', w')`` share the view of ``p``
+iff ``w`` and ``w'`` share the word view of ``p`` and ``x``, ``x'`` agree
+on its origin mask.  Call two words adjacent when some process has the same
+word view in both, and let ``C`` range over the components of that *word
+graph* (``W`` nodes).  Then:
 
-* ``"numpy"`` — per process, one scatter/gather over the word views and
-  one ``np.unique`` over the (input, mask) projections give every prefix
-  its representative; connectivity is solved on these star edges over the
-  prefixes alone (scipy's ``connected_components``, else a numpy
-  root-hooking loop), and the per-component masks/valences fold with
-  ``reduceat``;
-* ``"python"`` — the batched union-find pass over the same
-  representatives (inlined union by size with path halving).
+* for a fixed ``x``, ``{x} × C`` is connected (``x`` agrees with itself on
+  every mask);
+* no edge crosses word components;
+* inside ``C``, ``(x, w)`` and ``(x', w)`` are connected exactly when ``x``
+  and ``x'`` are related by the equivalence generated by "agree on some
+  origin mask occurring in ``C``".
 
-Both paths order components canonically by smallest member index, so
-component ids, member order, and every downstream decision table are
-identical regardless of backend.  :class:`Component` objects stay thin
-wrappers; their member *lists* (and any
-:class:`~repro.topology.prefixspace.PrefixNode`) materialize lazily.
+So the components of the layer are the products ``K × C`` with ``K`` a
+class of the input vectors under the masks of ``C``.  The classes depend on
+``C`` only through its set of masks (its *signature*), and a layer has few
+signatures.  The analysis runs in three steps:
+
+1. label the word graph (``W`` nodes, ``W * n`` star edges: every word
+   linked, per process, to one word holding the same word view);
+2. per distinct signature, partition the input vectors (at most ``|X|``
+   nodes; only the inclusion-minimal masks matter, since agreeing on a
+   mask implies agreeing on its subsets);
+3. number the pairs ``(C, K)`` canonically: the smallest member of
+   ``K × C`` is ``min(K) * W + min(C)``, and components are ordered by it.
+
+Step 1 has two equivalent passes behind the interner's ``layer_backend``
+switch: ``"numpy"`` solves the star edges with the root-hooking loop of
+:meth:`ComponentAnalysis._sv_labels` and folds masks and signatures with
+ufuncs; ``"python"`` runs union-find over the words.  Steps 2 and 3 are
+shared and touch only word components and input classes.  Component ids,
+member order, valences and broadcast masks are therefore identical on both
+backends and equal to the per-prefix indistinguishability partition.
+The per-prefix component-id column (:attr:`ComponentAnalysis.comp_ids`) is
+a lazily built gather, and :class:`Component` member lists (and any
+:class:`~repro.topology.prefixspace.PrefixNode`) materialize lazily as
+``K × C``.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator
+from itertools import repeat
+from typing import Any, Iterator
 
 from repro.core.graphword import full_mask
 from repro.core.views import numpy_module, plain_ids
@@ -62,32 +76,18 @@ from repro.topology.prefixspace import PrefixNode, PrefixSpace
 
 __all__ = ["Component", "ComponentAnalysis", "UnionFind"]
 
-#: Below this many (prefix, process) cells the vectorized component pass
-#: is not worth its fixed overhead; small layers run the Python pass.
-#: Measured per layer on the sweep-family layers (2-core x86): the passes
-#: break even at 512-1024 cells, numpy is 1.6x faster at 1024-1536 and 3x
-#: at 1536-2048, and Python is ~4x faster below 256.
+#: Below this many (word, process) cells the vectorized word-graph pass is
+#: not worth its fixed overhead; small layers run the Python pass.
+#: Measured per layer on the sweep-family layers of seeds 3 and 5 (2-core
+#: x86, numpy 2.4): the passes break even at 256-1023 word cells, numpy is
+#: 1.3-1.6x faster at 1024-2047 and 2x or more above 4096, and Python is 2x
+#: faster below 128.
 _COMPONENT_NUMPY_MIN_CELLS = 1024
 
-#: The vectorized pass encodes valence sets as int64 bitmaps; spaces with
-#: more distinct unanimity values run the Python pass instead.
-_NUMPY_MAX_VALENCES = 62
-
-
-def _scipy_csgraph():
-    """scipy's sparse connected-components, when installed (else None).
-
-    scipy is strictly optional (``dependencies = []`` holds): with it, the
-    star-edge prefix graph solves in one C-level pass; without it the
-    numpy root-hooking fallback (:meth:`ComponentAnalysis._sv_labels`)
-    runs on the same edges.
-    """
-    try:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - exercised where scipy is absent
-        return None
-    return csr_matrix, connected_components
+#: The vectorized pass reads the interner's origin masks as an int64
+#: buffer, packs (component, mask) pairs into one int64 and marks masks in
+#: a dense ``2**n`` table; wider systems run the Python pass.
+_NUMPY_MAX_N = 16
 
 
 class UnionFind:
@@ -117,69 +117,86 @@ class UnionFind:
 
 
 class Component:
-    """One connected component of a depth-``t`` layer.
+    """One connected component ``K × C`` of a depth-``t`` layer.
 
-    Member indices are held as whatever column the analysis produced (an
-    int64 numpy array on the vectorized path, a list on the Python path);
-    :attr:`member_indices` materializes — and caches — the plain-int list
-    on first access, so columnar consumers never pay for it.
+    ``input_indices`` is the input class ``K`` (ascending input-vector
+    indices) and the word component ``C`` is held by index into the
+    analysis; the member list — ``x * W + w`` for ``x`` in ``K``, then
+    ``w`` in ``C``, which is ascending — materializes on first access of
+    :attr:`member_indices`.
     """
 
     __slots__ = (
         "id",
-        "depth",
         "valences",
         "broadcast_mask",
-        "_space",
+        "input_indices",
+        "_analysis",
+        "_word_component",
         "_members",
     )
 
     def __init__(
         self,
         component_id: int,
-        depth: int,
-        member_indices,
+        analysis: ComponentAnalysis,
+        word_component: int,
+        input_indices: tuple,
         valences: frozenset,
         broadcast_mask: int,
-        space: PrefixSpace,
     ) -> None:
         self.id = component_id
-        self.depth = depth
-        self._members = member_indices
+        self._analysis = analysis
+        self._word_component = word_component
+        self.input_indices = input_indices
         self.valences = valences
         self.broadcast_mask = broadcast_mask
-        self._space = space
+        self._members: list[int] | None = None
+
+    @property
+    def depth(self) -> int:
+        """The depth ``t`` of the layer."""
+        return self._analysis.depth
 
     # -- membership -----------------------------------------------------
 
     @property
+    def words(self) -> list[int]:
+        """The word indices of the word component ``C``, ascending."""
+        return self._analysis._component_words(self._word_component)
+
+    @property
     def member_indices(self) -> list[int]:
-        """The member prefix indices as a plain list (lazily materialized)."""
+        """The member prefix indices, ascending (lazily materialized)."""
         members = self._members
-        if not isinstance(members, list):
-            members = self._members = list(
-                members.tolist() if hasattr(members, "tolist") else members
-            )
+        if members is None:
+            width = self._analysis.space.layer_store(self.depth).width
+            words = self.words
+            members = self._members = [
+                x * width + w for x in self.input_indices for w in words
+            ]
         return members
 
-    def member_input_indices(self) -> Iterator[int]:
-        """Input-vector index of every member, without node wrappers."""
-        width = self._space.layer_store(self.depth).width
-        for i in self._members:
-            yield int(i) // width
+    def input_vectors(self) -> list[tuple]:
+        """The input assignments of the class ``K``, one per input index."""
+        vectors = self._analysis.space.input_vectors
+        return [vectors[x] for x in self.input_indices]
 
     def members(self) -> Iterator[PrefixNode]:
         """Iterate over the member prefix nodes."""
-        layer = self._space.layer(self.depth)
-        return (layer[i] for i in self._members)
+        layer = self._analysis.space.layer(self.depth)
+        return (layer[i] for i in self.member_indices)
 
     def __len__(self) -> int:
-        return len(self._members)
+        sizes = self._analysis._word_sizes
+        return len(self.input_indices) * sizes[self._word_component]
 
     @property
     def representative(self) -> PrefixNode:
         """An arbitrary (first-indexed) member."""
-        return self._space.layer(self.depth)[self._members[0]]
+        space = self._analysis.space
+        width = space.layer_store(self.depth).width
+        return space.node(self.depth, self.input_indices[0] * width + self.words[0])
 
     # -- consensus-relevant structure ------------------------------------
 
@@ -191,7 +208,7 @@ class Component:
     @property
     def broadcasters(self) -> frozenset[int]:
         """Processes that have broadcast by depth ``t`` in *every* member."""
-        n = self._space.adversary.n
+        n = self._analysis.space.adversary.n
         return frozenset(p for p in range(n) if self.broadcast_mask >> p & 1)
 
     @property
@@ -201,10 +218,7 @@ class Component:
 
     def broadcaster_value(self, p: int):
         """The input value of broadcaster ``p`` (constant by Theorem 5.9)."""
-        input_vectors = self._space.input_vectors
-        values = {
-            input_vectors[index][p] for index in self.member_input_indices()
-        }
+        values = {vec[p] for vec in self.input_vectors()}
         if len(values) != 1:
             raise AnalysisError(
                 f"Theorem 5.9 violation: broadcaster {p} has values {values} "
@@ -228,14 +242,13 @@ class ComponentAnalysis:
     components:
         The :class:`Component` partition, ordered by smallest member index.
     comp_ids:
-        Per-prefix component-id column (int64 numpy array on the
-        vectorized path, list on the Python path) — the columnar handoff
-        the decision-table builder consumes.
-    member_order, comp_starts:
-        Vectorized path only (``None`` on the Python path): the prefix
-        indices grouped by component, ascending within each group, and
-        each group's start offset — the layer's one sort, which the
-        decision table's value assignment reuses.
+        Per-prefix component-id column (int64 numpy array after the
+        vectorized pass, list after the Python pass), gathered on first
+        access — the columnar handoff the decision-table builder consumes.
+    input_classes, component_classes:
+        The input classes ``K`` of every signature (ascending index
+        tuples), and per component the index of its class — what the
+        decision table's value assignment folds over.
 
     Examples
     --------
@@ -252,288 +265,325 @@ class ComponentAnalysis:
         interner = space.interner
         n = space.adversary.n
         np = numpy_module()
-        count = len(store)
-        # The vectorized pass folds valences as int64 bitmaps and codes
-        # input projections as int64; instances with more distinct
-        # unanimity values or wider keys than fit take the Python pass
-        # (arbitrary-precision sets and ints).
-        distinct_values = len(
-            {v for v in space.unanimity_by_index if v is not None}
-        )
         if (
             np is not None
             and interner.layer_backend == "numpy"
-            and isinstance(interner._origin_mask, array)
-            and distinct_values <= _NUMPY_MAX_VALENCES
-            and count * n >= _COMPONENT_NUMPY_MIN_CELLS
-            and space.keys_fit_int64()
+            and n <= _NUMPY_MAX_N
+            and store.width * n >= _COMPONENT_NUMPY_MIN_CELLS
         ):
-            self._analyze_numpy(np, store, interner, n, count)
+            passed = self._analyze_numpy(np, store, interner, n)
         else:
-            self._analyze_python(store, interner, n, count)
-        self._view_map: dict[int, int] | None = None
+            passed = self._analyze_python(store, interner, n)
+        self._number(*passed)
+        self._comp_ids: Any = None
+        self._word_groups: tuple[list[int], list[int]] | None = None
+        self._view_words: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
-    # The two component passes
+    # Step 1: the word graph (two passes)
     # ------------------------------------------------------------------ #
 
-    def _analyze_python(self, store, interner, n: int, count: int) -> None:
-        """Batched union-find over the factored layer (pure Python)."""
+    def _analyze_python(self, store, interner, n: int) -> tuple:
+        """Union-find over the words (pure Python).
+
+        Returns the per-word component labels (first-member order), and per
+        word component its size, broadcast mask and set of origin masks.
+        """
         words = plain_ids(store.word_levels.ids)
         width = store.width
-        origin_masks = interner._origin_mask
-        everyone = full_mask(n)
-        # Word pass: per cell of the word table the first word holding the
-        # same view, its origin mask, and per word the broadcast mask.
+        parent = list(range(width))
+        size = [1] * width
         first_word: dict[int, int] = {}
         first_setdefault = first_word.setdefault
-        word_rep = [first_setdefault(vid, base // n) for base, vid in enumerate(words)]
+        for cell, vid in enumerate(words):
+            a = first_setdefault(vid, cell // n)
+            b = cell // n
+            if a == b:
+                continue
+            # Inline union by size with path halving.
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+        del first_word
+        # Label words by first appearance of their root: the canonical
+        # (first-member) order.  Fold masks per word component.
+        origin_masks = interner._origin_mask
         cell_masks = [origin_masks[vid] for vid in words]
-        word_common = []
-        for base in range(0, len(words), n):
-            common = everyone
-            for mask in cell_masks[base : base + n]:
+        everyone = full_mask(n)
+        label_of: dict[int, int] = {}
+        labels: list[int] = []
+        word_sizes: list[int] = []
+        comp_masks: list[int] = []
+        mask_sets: list[set] = []
+        for w in range(width):
+            root = w
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            label = label_of.get(root)
+            if label is None:
+                label = label_of[root] = len(word_sizes)
+                word_sizes.append(0)
+                comp_masks.append(everyone)
+                mask_sets.append(set())
+            labels.append(label)
+            word_sizes[label] += 1
+            row = cell_masks[w * n : w * n + n]
+            common = comp_masks[label]
+            for mask in row:
                 common &= mask
-            word_common.append(common)
-        # Input pass: per distinct mask, the first input vector with the
-        # same projection onto it.
-        xrep_of: dict[int, list[int]] = {}
-        for mask in set(cell_masks):
-            first_input: dict[int, int] = {}
-            xrep_of[mask] = [
-                first_input.setdefault(proj, x)
-                for x, proj in enumerate(self.space.projections(mask))
-            ]
-        cell_xrep = [xrep_of[mask] for mask in cell_masks]
-        union_find = UnionFind(count)
-        parent = union_find.parent
-        size = union_find.size
-        for x in range(store.inputs):
-            base = x * width
-            cell = 0
-            for index in range(base, base + width):
-                for _ in range(n):
-                    first = cell_xrep[cell][x] * width + word_rep[cell]
-                    cell += 1
-                    if first == index:
-                        continue
-                    # Inline union by size with path halving.
-                    a, b = first, index
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[b] != b:
-                        parent[b] = b = parent[parent[b]]
-                    if a != b:
-                        if size[a] < size[b]:
-                            a, b = b, a
-                        parent[b] = a
-                        size[a] += size[b]
+            comp_masks[label] = common
+            mask_sets[label].update(row)
+        return labels, word_sizes, comp_masks, mask_sets
 
-        # Gather per-root data in a second pass.  Because prefixes are
-        # visited in index order, each root is first reached through its
-        # smallest member, so the insertion order of ``members_of`` is
-        # already the canonical (first-member) component order.
-        unanimity = self.space.unanimity_by_index
-        members_of: dict[int, list[int]] = {}
-        valences_of: dict[int, set] = {}
-        mask_of: dict[int, int] = {}
-        index = 0
-        for x in range(store.inputs):
-            value = unanimity[x]
-            for common in word_common:
-                root = index
-                while parent[root] != root:
-                    parent[root] = root = parent[parent[root]]
-                members = members_of.get(root)
-                if members is None:
-                    members_of[root] = [index]
-                    mask_of[root] = common
-                else:
-                    members.append(index)
-                    mask_of[root] &= common
-                if value is not None:
-                    held = valences_of.get(root)
-                    if held is None:
-                        valences_of[root] = {value}
-                    else:
-                        held.add(value)
-                index += 1
+    def _analyze_numpy(self, np, store, interner, n: int) -> tuple:
+        """Vectorized word-graph pass; same results as :meth:`_analyze_python`.
 
-        empty: frozenset = frozenset()
-        valences_get = valences_of.get
-        space = self.space
-        depth = self.depth
-        self.components: list[Component] = []
-        components_append = self.components.append
-        for component_id, (root, members) in enumerate(members_of.items()):
-            held = valences_get(root)
-            components_append(
-                Component(
-                    component_id=component_id,
-                    depth=depth,
-                    member_indices=members,
-                    valences=frozenset(held) if held else empty,
-                    broadcast_mask=mask_of[root],
-                    space=space,
-                )
-            )
-        comp_ids = [0] * count
-        for cid, component in enumerate(self.components):
-            for index in component._members:
-                comp_ids[index] = cid
-        self.comp_ids = comp_ids
-        self.member_order = self.comp_starts = None
-
-    def _analyze_numpy(self, np, store, interner, n: int, count: int) -> None:
-        """Vectorized component pass over the factored layer.
-
-        Two prefixes are adjacent iff they share a view.  Per process, the
-        representative of prefix ``x * W + w`` is ``xrep[x, mask] * W +
-        wordrep[w]`` (module docstring): one scatter/gather over the word
-        views gives ``wordrep``, one ``np.unique`` over the coded (mask,
-        projection) pairs gives ``xrep``.  The star edges ``cell -> rep``
-        (self-loops kept, so the CSR matrix has exactly ``n`` entries per
-        row and builds without a COO pass) span a graph over the
-        ``count`` prefixes alone.  scipy's weak ``connected_components``
-        solves it in one C-level pass; without scipy, :meth:`_sv_labels`
-        hooks roots along the same edges.  Both number components in
-        first-member order; an O(count) check confirms it, and the
-        unique/argsort remap runs only if it fails.  Masks and valence
-        bitmaps then fold with ``reduceat``.
+        Per process one scatter over the word views links every word to a
+        word holding the same view; :meth:`_sv_labels` solves the star
+        edges in first-member order.  Broadcast masks fold with
+        ``bitwise_and.at`` and the mask sets come from one ``np.unique``
+        over packed (component, mask) pairs.
         """
         words = store.word_levels.array()
         width = store.width
-        inputs = store.inputs
         mask_view = np.frombuffer(interner._origin_mask, dtype=np.int64)
         masks = mask_view[words]
         del mask_view
-        word_masks = np.bitwise_and.reduce(masks, axis=1)
-        # xrep[x, u]: the first input vector projecting like x onto the
-        # u-th distinct mask, pre-scaled to its first prefix.
-        uniq, mask_codes = np.unique(masks, return_inverse=True)
-        mask_codes = mask_codes.reshape(words.shape)
-        proj = self.space.projection_matrix(np, uniq)
-        index_dtype = np.int32 if count * n < 2**31 else np.int64
-        xrep = np.empty((inputs, len(uniq)), dtype=index_dtype)
-        for u in range(len(uniq)):
-            _, first, inverse = np.unique(
-                proj[:, u], return_index=True, return_inverse=True
-            )
-            xrep[:, u] = first[inverse.reshape(-1)] * width
-        word_cells = np.arange(width, dtype=index_dtype)
-        reps = np.empty((inputs, width, n), dtype=index_dtype)
-        for p in range(n):
+        cells = np.arange(width, dtype=np.int64)
+        # Process 0 seeds the forest: every word points at the first word
+        # holding its view (a root, and the smallest of its star).  The
+        # other processes contribute star edges to any such word.
+        views = words[:, 0]
+        shifted = views - views.min()
+        first = np.full(int(shifted.max()) + 1, width, dtype=np.int64)
+        np.minimum.at(first, shifted, cells)
+        parent = first[shifted]
+        sources, targets = [], []
+        for p in range(1, n):
             views = words[:, p]
             shifted = views - views.min()
-            rep = np.empty(int(shifted.max()) + 1, dtype=index_dtype)
-            rep[shifted] = word_cells
-            reps[:, :, p] = xrep[:, mask_codes[:, p]] + rep[shifted][None, :]
-        del shifted, rep, xrep
-        reps = reps.reshape(count, n)
-        csgraph = _scipy_csgraph()
-        if csgraph is not None:
-            csr_matrix, connected_components = csgraph
-            indptr = np.arange(0, count * n + 1, n, dtype=index_dtype)
-            graph = csr_matrix(
-                (np.ones(count * n), reps.reshape(-1), indptr), shape=(count, count)
-            )
-            labels = connected_components(graph, directed=True, connection="weak")[1]
-            del graph, indptr
-        else:
-            cells = np.arange(count, dtype=index_dtype)
-            cross = reps != cells[:, None]
-            src = np.broadcast_to(cells[:, None], reps.shape)[cross]
-            labels = self._sv_labels(np, src, reps[cross], count)
-            del cross, src, cells
-        del reps
-        comp_ids = labels.astype(np.int64, copy=False)
-        running = np.maximum.accumulate(comp_ids)
-        if comp_ids[0] == 0 and not (np.diff(running) > 1).any():
-            ncomp = int(running[-1]) + 1
-        else:
-            _, first, inverse = np.unique(
-                comp_ids, return_index=True, return_inverse=True
-            )
-            ncomp = len(first)
-            remap = np.empty(ncomp, dtype=np.int64)
-            remap[np.argsort(first, kind="stable")] = np.arange(ncomp)
-            comp_ids = remap[inverse.reshape(-1)]
-
-        # Valence bitmaps: one bit per distinct unanimity value, coded per
-        # input vector once and gathered per member.
-        space = self.space
-        unanimity = space.unanimity_by_index
-        value_list = list(dict.fromkeys(v for v in unanimity if v is not None))
-        bit_of = {value: 1 << i for i, value in enumerate(value_list)}
-        input_bits = np.array([bit_of.get(v, 0) for v in unanimity], dtype=np.int64)
-
-        if ncomp == 1:
-            member_order = np.arange(count, dtype=np.int64)
-            comp_starts = np.zeros(1, dtype=np.int64)
-            members_split = [member_order]
+            rep = np.empty(int(shifted.max()) + 1, dtype=np.int64)
+            rep[shifted] = cells
+            target = rep[shifted]
+            cross = target != cells
+            sources.append(cells[cross])
+            targets.append(target[cross])
+            del rep, target, cross
+        del views, shifted, first
+        empty = cells[:0]
+        labels = self._sv_labels(
+            np,
+            np.concatenate([empty, *sources]),
+            np.concatenate([empty, *targets]),
+            parent,
+        )
+        del sources, targets, parent
+        word_sizes = np.bincount(labels)
+        word_masks = masks[:, 0].copy()
+        for p in range(1, n):
+            word_masks &= masks[:, p]
+        if len(word_sizes) == 1:
+            present = np.zeros(1 << n, dtype=bool)
+            present[masks] = True
+            mask_sets = [np.flatnonzero(present).tolist()]
             comp_masks = [int(np.bitwise_and.reduce(word_masks))]
-            comp_bits = [int(np.bitwise_or.reduce(input_bits))]
-        else:
-            member_order = np.argsort(comp_ids, kind="stable")
-            comp_starts = np.zeros(ncomp, dtype=np.int64)
-            np.cumsum(
-                np.bincount(comp_ids, minlength=ncomp)[:-1], out=comp_starts[1:]
-            )
-            member_inputs, member_words = np.divmod(member_order, width)
-            comp_masks = np.bitwise_and.reduceat(
-                word_masks[member_words], comp_starts
-            ).tolist()
-            comp_bits = np.bitwise_or.reduceat(
-                input_bits[member_inputs], comp_starts
-            ).tolist()
-            del member_inputs, member_words
-            members_split = np.split(member_order, comp_starts[1:].tolist())
-
-        # Valence frozensets are interned per bitmap.
-        valences_of: dict[int, frozenset] = {0: frozenset()}
-        depth = self.depth
-        self.components = []
-        components_append = self.components.append
-        for cid, (members, bits, mask) in enumerate(
-            zip(members_split, comp_bits, comp_masks)
-        ):
-            valences = valences_of.get(bits)
-            if valences is None:
-                valences = valences_of[bits] = frozenset(
-                    value for i, value in enumerate(value_list) if bits >> i & 1
-                )
-            components_append(Component(cid, depth, members, valences, mask, space))
-        self.comp_ids = comp_ids
-        self.member_order = member_order
-        self.comp_starts = comp_starts
+            return labels, word_sizes.tolist(), comp_masks, mask_sets
+        comp_masks_arr = np.full(len(word_sizes), full_mask(n), dtype=np.int64)
+        np.bitwise_and.at(comp_masks_arr, labels, word_masks)
+        # The distinct (component, mask) pairs, component-major.
+        pairs = np.unique((labels[:, None] << n) | masks)
+        _, starts = np.unique(pairs >> n, return_index=True)
+        mask_sets = [
+            group.tolist() for group in np.split(pairs & full_mask(n), starts[1:])
+        ]
+        return labels, word_sizes.tolist(), comp_masks_arr.tolist(), mask_sets
 
     @staticmethod
-    def _sv_labels(np, src, dst, count: int):
-        """Root-hooking connectivity in pure numpy (the no-scipy solver).
+    def _sv_labels(np, src, dst, parent):
+        """Root-hooking connectivity in pure numpy.
 
-        Takes the star edge list of :meth:`_analyze_numpy`.  Per round:
-        edges whose endpoints already share a root are dropped for good,
-        the larger root of every remaining edge hooks onto the smaller
-        (``np.minimum.at``), and parent pointers fully compress.  Roots
-        only ever hook downward, so each final root is its component's
-        smallest member, and ranking the roots yields labels already in
-        first-member order.
+        Takes an edge list and an initial forest ``parent`` whose roots are
+        the smallest members of their trees.  Per round: the endpoints of
+        the remaining edges chase their roots (only those nodes, not the
+        whole forest), edges whose endpoints already share a root are
+        dropped for good, and the larger root of every remaining edge
+        hooks onto the smaller (``np.minimum.at``); one full compression
+        follows the last round.  Roots only ever hook downward, so each
+        final root is its component's smallest member, and ranking the
+        roots yields labels already in first-member order.
         """
-        parent = np.arange(count, dtype=np.int64)
-        while len(src):
-            a = parent[src]
-            b = parent[dst]
-            cross = a != b
-            src, a, b = src[cross], a[cross], b[cross]
-            dst = dst[cross]
-            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+
+        def roots(nodes):
+            found = parent[nodes]
             while True:
-                grand = parent[parent]
-                if np.array_equal(grand, parent):
-                    break
-                parent = grand
-        is_root = parent == np.arange(count, dtype=np.int64)
+                up = parent[found]
+                if np.array_equal(up, found):
+                    return found
+                found = up
+
+        while len(src):
+            a = roots(src)
+            b = roots(dst)
+            cross = a != b
+            src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        is_root = parent == np.arange(len(parent), dtype=np.int64)
         return (np.cumsum(is_root) - 1)[parent]
+
+    # ------------------------------------------------------------------ #
+    # Steps 2 and 3: input classes per signature, canonical numbering
+    # ------------------------------------------------------------------ #
+
+    def _number(self, labels, word_sizes, comp_masks, mask_sets) -> None:
+        """Partition the inputs per signature and number the ``(C, K)`` pairs.
+
+        Pair ``(C, K)`` has smallest member ``min(K) * W + min(C)``; word
+        components are labelled in first-member order, so sorting the pairs
+        by ``(min(K), C)`` is the canonical component order.
+        """
+        space = self.space
+        unanimity = space.unanimity_by_index
+        signature_of: dict[frozenset, int] = {}
+        comp_sig = [
+            signature_of.setdefault(frozenset(masks), len(signature_of))
+            for masks in mask_sets
+        ]
+        signatures = list(signature_of)
+        input_classes: list[tuple] = []
+        class_base: list[int] = []
+        class_counts: list[int] = []
+        sig_class_of: list[list[int]] = []
+        for masks in signatures:
+            classes, class_of = _input_classes(space, masks)
+            class_base.append(len(input_classes))
+            class_counts.append(len(classes))
+            input_classes.extend(classes)
+            sig_class_of.append(class_of)
+        valences = [
+            frozenset(unanimity[x] for x in members if unanimity[x] is not None)
+            for members in input_classes
+        ]
+        # Pair ``offsets[C] + k`` is word component C with class k of its
+        # signature (word-component-major order).
+        word_count = len(comp_sig)
+        if max(class_counts, default=1) == 1:
+            # One class per word component: (min K, C) = (0, C).
+            pair_words = pair_cid = offsets = list(range(word_count))
+            pair_classes = [class_base[sig] for sig in comp_sig]
+        else:
+            offsets, pair_words, pair_classes = [], [], []
+            for label, sig in enumerate(comp_sig):
+                offsets.append(len(pair_words))
+                pair_words.extend(repeat(label, class_counts[sig]))
+                pair_classes.extend(
+                    range(class_base[sig], class_base[sig] + class_counts[sig])
+                )
+            keys = [
+                input_classes[k][0] * word_count + label
+                for label, k in zip(pair_words, pair_classes)
+            ]
+            # Keys are distinct (one class per (C, min K)); sort pairs by
+            # key, and the inverse permutation maps pair -> component id.
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            pair_cid = sorted(range(len(order)), key=order.__getitem__)
+            pair_words = [pair_words[pair] for pair in order]
+            pair_classes = [pair_classes[pair] for pair in order]
+        self.components: list[Component] = list(
+            map(
+                Component,
+                range(len(pair_words)),
+                repeat(self),
+                pair_words,
+                map(input_classes.__getitem__, pair_classes),
+                map(valences.__getitem__, pair_classes),
+                map(comp_masks.__getitem__, pair_words),
+            )
+        )
+        self.input_classes = input_classes
+        self.component_classes = pair_classes
+        self._labels = labels
+        self._word_sizes = word_sizes
+        self._comp_sig = comp_sig
+        self._offsets = offsets
+        self._sig_class_of = sig_class_of
+        self._pair_cid = pair_cid
+
+    # ------------------------------------------------------------------ #
+    # Lazy per-prefix and per-word views of the result
+    # ------------------------------------------------------------------ #
+
+    @property
+    def comp_ids(self):
+        """Per-prefix component ids, gathered once from the factored result.
+
+        Prefix ``x * W + w`` lies in pair ``(C(w), class of x)``: one gather
+        through the per-word pair offsets and the per-signature input
+        classes.
+        """
+        comp_ids = self._comp_ids
+        if comp_ids is None:
+            comp_ids = self._comp_ids = self._gather_comp_ids()
+        return comp_ids
+
+    def _gather_comp_ids(self):
+        labels = self._labels
+        np = numpy_module()
+        if np is not None and isinstance(labels, np.ndarray):
+            pair_cid = np.asarray(self._pair_cid, dtype=np.int64)
+            word_offsets = np.asarray(self._offsets, dtype=np.int64)[labels]
+            class_of = np.asarray(self._sig_class_of, dtype=np.int64)
+            if len(class_of) == 1:
+                local = class_of[0][:, None]
+            else:
+                comp_sig = np.asarray(self._comp_sig, dtype=np.int64)
+                local = class_of[comp_sig[labels]].T
+            return pair_cid[local + word_offsets[None, :]].reshape(-1)
+        word_offsets = [self._offsets[label] for label in labels]
+        word_classes = [self._sig_class_of[self._comp_sig[label]] for label in labels]
+        pair_cid = self._pair_cid
+        comp_ids: list[int] = []
+        for x in range(len(self.space.input_vectors)):
+            comp_ids.extend(
+                [
+                    pair_cid[offset + classes[x]]
+                    for offset, classes in zip(word_offsets, word_classes)
+                ]
+            )
+        return comp_ids
+
+    def _component_id(self, x: int, w: int) -> int:
+        """The component id of prefix ``x * W + w``, arithmetically."""
+        label = int(self._labels[w])
+        classes = self._sig_class_of[self._comp_sig[label]]
+        return self._pair_cid[self._offsets[label] + classes[x]]
+
+    def _component_words(self, label: int) -> list[int]:
+        """The words of word component ``label``, ascending (grouped once)."""
+        groups = self._word_groups
+        if groups is None:
+            labels = self._labels
+            np = numpy_module()
+            if np is not None and isinstance(labels, np.ndarray):
+                order = np.argsort(labels, kind="stable").tolist()
+            else:
+                order = sorted(range(len(labels)), key=labels.__getitem__)
+            starts = [0]
+            for size in self._word_sizes:
+                starts.append(starts[-1] + size)
+            groups = self._word_groups = (order, starts)
+        order, starts = groups
+        return order[starts[label] : starts[label + 1]]
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -549,31 +599,42 @@ class ComponentAnalysis:
             raise AnalysisError(
                 f"{node!r} is not a node of depth {self.depth} of this prefix space"
             )
-        return self.components[int(self.comp_ids[node.index])]
+        x, w = divmod(node.index, self.space.layer_store(self.depth).width)
+        return self.components[self._component_id(x, w)]
 
     def component_of_view(self, p: int, view_id: int) -> Component | None:
         """The component determined by process ``p`` holding ``view_id``.
 
         Every admissible prefix in which ``p`` has this view lies in the
         returned component (that is what indistinguishability means); `None`
-        if the view does not occur at this depth.
+        if the view does not occur at this depth.  Answered from the factored
+        key: its word view names a word holding it (hence the word
+        component), its projection names an input vector with those origin
+        inputs (hence the class).
         """
         space = self.space
         key = space.view_key(view_id)
         if key is None or space.interner.pid(view_id) != p:
             return None
-        view_map = self._view_map
-        if view_map is None:
-            # Cold path (the checker never queries it): factored key of
-            # every cell -> the component of its prefix.
+        free, proj = divmod(key, space.key_radix)
+        view_words = self._view_words
+        if view_words is None:
+            # Cold path (the checker never queries it): word view -> a word
+            # holding it, over the layer's word cells.
             n = space.adversary.n
-            comp_ids = plain_ids(self.comp_ids)
-            keys = plain_ids(space.view_keys(self.depth))
-            view_map = self._view_map = {
-                key: comp_ids[cell // n] for cell, key in enumerate(keys)
+            words = plain_ids(space.layer_store(self.depth).word_levels.ids)
+            view_words = self._view_words = {
+                vid: cell // n for cell, vid in enumerate(words)
             }
-        cid = view_map.get(key)
-        return None if cid is None else self.components[cid]
+        word = view_words.get(free)
+        if word is None:
+            return None
+        projections = space.projections(space.interner.origin_mask(free))
+        try:
+            x = projections.index(proj)
+        except ValueError:
+            return None
+        return self.components[self._component_id(x, word)]
 
     def bivalent_components(self) -> list[Component]:
         """Components whose members include at least two valences."""
@@ -604,3 +665,48 @@ class ComponentAnalysis:
             f"ComponentAnalysis(depth={info['depth']}, "
             f"components={info['components']}, bivalent={info['bivalent']})"
         )
+
+
+def _input_classes(space: PrefixSpace, masks) -> tuple[list[tuple], list[int]]:
+    """The input vectors partitioned by "agree on some mask of ``masks``".
+
+    Returns the classes (ascending index tuples, ordered by smallest
+    member) and each vector's class index.  Agreement on a mask implies
+    agreement on its subsets, so only inclusion-minimal masks link: each
+    vector to the first vector of its projection class under that mask.
+    """
+    parent = list(range(len(space.input_vectors)))
+    for mask in masks:
+        if any(other != mask and other & mask == other for other in masks):
+            continue
+        class_of, projections = space.projection_classes(mask)
+        first = [-1] * len(projections)
+        for x, k in enumerate(class_of):
+            a = first[k]
+            if a < 0:
+                first[k] = x
+                continue
+            b = x
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            # Hook the larger root under the smaller: roots stay minimal.
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    classes: list[list[int]] = []
+    class_of = []
+    index_of: dict[int, int] = {}
+    for x in range(len(parent)):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        k = index_of.get(root)
+        if k is None:
+            k = index_of[root] = len(classes)
+            classes.append([])
+        classes[k].append(x)
+        class_of.append(k)
+    return [tuple(members) for members in classes], class_of

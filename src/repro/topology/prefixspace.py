@@ -446,6 +446,7 @@ class PrefixSpace:
             for vec in vectors
         ]
         self._projections: dict[int, list[int]] = {}
+        self._classes: dict[int, tuple[list[int], list[int]]] = {}
         root = self.interner.leaf_level((INPUT_FREE,) * adversary.n)
         self._stores: list[LayerStore] = [
             LayerStore(
@@ -801,6 +802,24 @@ class PrefixSpace:
         ``(inputs, len(masks))`` integer matrix product."""
         bits = (masks[:, None] >> np.arange(self.adversary.n, dtype=np.int64)) & 1
         return np.asarray(self._input_weights, dtype=np.int64) @ bits.T
+
+    def projection_classes(self, mask: int) -> tuple[list[int], list[int]]:
+        """The input vectors grouped by their projection onto ``mask``.
+
+        Returns each vector's class index (classes numbered in order of
+        their smallest member) and each class's projection; cached per
+        mask.  The component analysis links inputs through these classes
+        and the decision maps fold value bits over them.
+        """
+        classes = self._classes.get(mask)
+        if classes is None:
+            index_of: dict[int, int] = {}
+            class_of = [
+                index_of.setdefault(proj, len(index_of))
+                for proj in self.projections(mask)
+            ]
+            classes = self._classes[mask] = (class_of, list(index_of))
+        return classes
 
     def view_key(self, view_id: int) -> int | None:
         """The factored key of one full view (None if no layer holds it).

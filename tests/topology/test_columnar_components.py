@@ -1,10 +1,9 @@
 """Equivalence: columnar components/decision tables vs the PR-4 reference.
 
-The columnar pipeline (``ComponentAnalysis`` unioning over flat layer
-columns, ``build_decision_table`` folding over component-id columns)
-replaced the object-based construction.  These tests pin it — on both
-kernel backends, and on the no-scipy Shiloach–Vishkin fallback — to a
-self-contained reimplementation of the PR-4 algorithm: per-node bucket
+The columnar pipeline (``ComponentAnalysis`` solving the word graph and
+the input classes, ``build_decision_table`` folding over component-id
+columns) replaced the object-based construction.  These tests pin it — on
+both kernel backends — to a self-contained reimplementation of the PR-4 algorithm: per-node bucket
 union-find over materialized level tuples, eager member lists, and the
 tuple-driven decision-map construction.  The contract is exact: identical
 component partitions (member lists in canonical first-member order),
@@ -286,19 +285,6 @@ def test_columnar_pipeline_matches_on_random_oblivious(
     space = PrefixSpace(adversary, layer_backend=backend)
     analysis, reference = assert_components_match(space, depth)
     assert_tables_match(analysis, reference, ConsensusSpec())
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy-only fallback")
-def test_sv_fallback_matches_reference(monkeypatch):
-    """Without scipy, the Shiloach–Vishkin loop must produce the same
-    partitions (it is the numpy path CI exercises on scipy-less boxes)."""
-    monkeypatch.setattr(components_module, "_scipy_csgraph", lambda: None)
-    for factory in (lossy_link_full, lossy_link_no_hub,
-                    lambda: santoro_widmayer_family(3, 1)):
-        space = PrefixSpace(factory(), layer_backend="numpy")
-        for t in range(3):
-            analysis, reference = assert_components_match(space, t)
-            assert_tables_match(analysis, reference, ConsensusSpec())
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy-only guard")
