@@ -46,8 +46,8 @@ signatures.  The analysis runs in three steps:
 1. label the word graph (``W`` nodes, ``W * n`` star edges: every word
    linked, per process, to one word holding the same word view);
 2. per distinct signature, partition the input vectors (at most ``|X|``
-   nodes; only the inclusion-minimal masks matter, since agreeing on a
-   mask implies agreeing on its subsets);
+   nodes; :meth:`~repro.topology.prefixspace.PrefixSpace.agreement_classes`,
+   cached per signature on the prefix space);
 3. number the pairs ``(C, K)`` canonically: the smallest member of
    ``K × C`` is ``min(K) * W + min(C)``, and components are ordered by it.
 
@@ -452,28 +452,23 @@ class ComponentAnalysis:
         components are labelled in first-member order, so sorting the pairs
         by ``(min(K), C)`` is the canonical component order.
         """
-        space = self.space
-        unanimity = space.unanimity_by_index
         signature_of: dict[frozenset, int] = {}
         comp_sig = [
             signature_of.setdefault(frozenset(masks), len(signature_of))
             for masks in mask_sets
         ]
-        signatures = list(signature_of)
         input_classes: list[tuple] = []
+        valences: list[frozenset] = []
         class_base: list[int] = []
         class_counts: list[int] = []
         sig_class_of: list[list[int]] = []
-        for masks in signatures:
-            classes, class_of = _input_classes(space, masks)
+        for masks in signature_of:
+            classes, class_of, class_valences = self.space.agreement_classes(masks)
             class_base.append(len(input_classes))
             class_counts.append(len(classes))
             input_classes.extend(classes)
+            valences.extend(class_valences)
             sig_class_of.append(class_of)
-        valences = [
-            frozenset(unanimity[x] for x in members if unanimity[x] is not None)
-            for members in input_classes
-        ]
         # Pair ``offsets[C] + k`` is word component C with class k of its
         # signature (word-component-major order).
         word_count = len(comp_sig)
@@ -665,48 +660,3 @@ class ComponentAnalysis:
             f"ComponentAnalysis(depth={info['depth']}, "
             f"components={info['components']}, bivalent={info['bivalent']})"
         )
-
-
-def _input_classes(space: PrefixSpace, masks) -> tuple[list[tuple], list[int]]:
-    """The input vectors partitioned by "agree on some mask of ``masks``".
-
-    Returns the classes (ascending index tuples, ordered by smallest
-    member) and each vector's class index.  Agreement on a mask implies
-    agreement on its subsets, so only inclusion-minimal masks link: each
-    vector to the first vector of its projection class under that mask.
-    """
-    parent = list(range(len(space.input_vectors)))
-    for mask in masks:
-        if any(other != mask and other & mask == other for other in masks):
-            continue
-        class_of, projections = space.projection_classes(mask)
-        first = [-1] * len(projections)
-        for x, k in enumerate(class_of):
-            a = first[k]
-            if a < 0:
-                first[k] = x
-                continue
-            b = x
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            # Hook the larger root under the smaller: roots stay minimal.
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    classes: list[list[int]] = []
-    class_of = []
-    index_of: dict[int, int] = {}
-    for x in range(len(parent)):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        k = index_of.get(root)
-        if k is None:
-            k = index_of[root] = len(classes)
-            classes.append([])
-        classes[k].append(x)
-        class_of.append(k)
-    return [tuple(members) for members in classes], class_of

@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -207,23 +208,25 @@ def test_a_check_never_imports_scipy():
     running checks whose layers take the vectorized passes (components,
     decision maps) must not import scipy, which would cost every process
     its import time."""
-    code = "\n".join(
-        [
-            "import sys",
-            "from repro.adversaries import lossy_link_full, santoro_widmayer_family",
-            "from repro.consensus.solvability import CheckOptions, "
-            "check_consensus_with_options",
-            "from repro.topology.components import ComponentAnalysis",
-            "from repro.topology.prefixspace import PrefixSpace",
-            "options = CheckOptions(max_depth=8, use_impossibility_provers=False)",
-            "print(check_consensus_with_options(lossy_link_full(), options).status.name)",
-            "sw = santoro_widmayer_family(4, 1)",
-            "print(check_consensus_with_options(sw, options).status.name)",
-            "space = PrefixSpace(lossy_link_full(), layer_backend='numpy')",
-            "space.ensure_depth(8)",
-            "print(type(ComponentAnalysis(space, 8).comp_ids).__module__)",
-            "print('scipy' in sys.modules)",
-        ]
+    code = textwrap.dedent(
+        """
+        import sys
+        from repro.adversaries import lossy_link_full, santoro_widmayer_family
+        from repro.consensus.solvability import (
+            CheckOptions,
+            check_consensus_with_options,
+        )
+        from repro.topology.components import ComponentAnalysis
+        from repro.topology.prefixspace import PrefixSpace
+
+        options = CheckOptions(max_depth=8, use_impossibility_provers=False)
+        for adversary in (lossy_link_full(), santoro_widmayer_family(4, 1)):
+            print(check_consensus_with_options(adversary, options).status.name)
+        space = PrefixSpace(lossy_link_full(), layer_backend="numpy")
+        space.ensure_depth(8)
+        print(type(ComponentAnalysis(space, 8).comp_ids).__module__)
+        print("scipy" in sys.modules)
+        """
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
