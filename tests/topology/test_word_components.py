@@ -202,6 +202,27 @@ def test_component_of_view_rejects_other_processes_and_depths(backend):
     assert analysis.component_of_view(0, -1) is None
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_component_of_view_rejects_inputs_outside_the_space(backend):
+    """A view whose origins carry an input combination no vector of the
+    space has does not occur; one whose origins agree with some vector
+    does, whatever the other inputs."""
+    space = PrefixSpace(
+        lossy_link_no_hub(), input_vectors=[(0, 0), (1, 1)], layer_backend=backend
+    )
+    space.ensure_depth(2)
+    analysis = ComponentAnalysis(space, 2)
+    interner = space.interner
+    words = list(space.layer_store(2).word_levels.ids)
+    outside = interner.with_inputs(words, (0, 1))
+    for cell, vid in enumerate(outside):
+        found = analysis.component_of_view(cell % 2, vid)
+        if interner.origin_mask(vid) == 0b11:
+            assert found is None
+        else:
+            assert found is not None
+
+
 @pytest.mark.skipif(not numpy_available(), reason="the numpy pass needs numpy")
 def test_a_check_never_imports_scipy():
     """Components solve on the word graph in numpy alone: a fresh process
