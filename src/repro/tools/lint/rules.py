@@ -563,7 +563,7 @@ class ColumnarHotPathRule(Rule):
             "repro.topology.components::_sv_labels",
             "repro.topology.components::_number",
             "repro.topology.components::_gather_comp_ids",
-            "repro.topology.prefixspace::agreement_classes",
+            "repro.topology.components::_agreement_classes",
             "repro.consensus.decision::_validate_python",
             "repro.consensus.decision::_validate_numpy",
             "repro.consensus.decision::_decision_maps_python",

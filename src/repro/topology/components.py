@@ -45,9 +45,8 @@ signatures.  The analysis runs in three steps:
 
 1. label the word graph (``W`` nodes, ``W * n`` star edges: every word
    linked, per process, to one word holding the same word view);
-2. per distinct signature, partition the input vectors (at most ``|X|``
-   nodes; :meth:`~repro.topology.prefixspace.PrefixSpace.agreement_classes`,
-   cached per signature on the prefix space);
+2. per distinct signature, partition the input vectors by union-find (at
+   most ``|X|`` nodes; cached per signature on the prefix space);
 3. number the pairs ``(C, K)`` canonically: the smallest member of
    ``K × C`` is ``min(K) * W + min(C)``, and components are ordered by it.
 
@@ -66,6 +65,7 @@ a lazily built gather, and :class:`Component` member lists (and any
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
 from typing import Any, Iterator
 
@@ -83,11 +83,6 @@ __all__ = ["Component", "ComponentAnalysis", "UnionFind"]
 #: 1.3-1.6x faster at 1024-2047 and 2x or more above 4096, and Python is 2x
 #: faster below 128.
 _COMPONENT_NUMPY_MIN_CELLS = 1024
-
-#: The vectorized pass reads the interner's origin masks as an int64
-#: buffer, packs (component, mask) pairs into one int64 and marks masks in
-#: a dense ``2**n`` table; wider systems run the Python pass.
-_NUMPY_MAX_N = 16
 
 
 class UnionFind:
@@ -114,6 +109,45 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+
+
+def _agreement_classes(space: PrefixSpace, masks: frozenset) -> tuple:
+    """The input vectors partitioned by "agree on some mask of ``masks``".
+
+    Returns the classes (ascending index tuples, ordered by smallest
+    member), each vector's class index, and each class's valences (the
+    unanimity values of its vectors); cached per mask set on the space.
+    Agreement on a mask implies agreement on its subsets, so only
+    inclusion-minimal masks link: each vector to the first vector with the
+    same projection onto that mask.
+    """
+    cached = space._agreement.get(masks)
+    if cached is None:
+        count = len(space.input_vectors)
+        sets = UnionFind(count)
+        for mask in masks:
+            if any(other != mask and other & mask == other for other in masks):
+                continue
+            first: dict[int, int] = {}
+            for x, proj in enumerate(space.projections(mask)):
+                sets.union(first.setdefault(proj, x), x)
+        index_of: dict[int, int] = {}
+        class_of = [
+            index_of.setdefault(sets.find(x), len(index_of)) for x in range(count)
+        ]
+        members: list[list[int]] = [[] for _ in index_of]
+        for x, k in enumerate(class_of):
+            members[k].append(x)
+        unanimity = space.unanimity_by_index
+        cached = space._agreement[masks] = (
+            [tuple(group) for group in members],
+            class_of,
+            [
+                frozenset(unanimity[x] for x in group if unanimity[x] is not None)
+                for group in members
+            ],
+        )
+    return cached
 
 
 class Component:
@@ -265,11 +299,14 @@ class ComponentAnalysis:
         interner = space.interner
         n = space.adversary.n
         np = numpy_module()
+        # The vectorized pass reads the origin masks as an int64 buffer and
+        # packs (word component, mask) pairs into one int64.
         if (
             np is not None
             and interner.layer_backend == "numpy"
-            and n <= _NUMPY_MAX_N
+            and isinstance(interner._origin_mask, array)
             and store.width * n >= _COMPONENT_NUMPY_MIN_CELLS
+            and store.width << n < 1 << 63
         ):
             passed = self._analyze_numpy(np, store, interner, n)
         else:
@@ -388,12 +425,6 @@ class ComponentAnalysis:
         word_masks = masks[:, 0].copy()
         for p in range(1, n):
             word_masks &= masks[:, p]
-        if len(word_sizes) == 1:
-            present = np.zeros(1 << n, dtype=bool)
-            present[masks] = True
-            mask_sets = [np.flatnonzero(present).tolist()]
-            comp_masks = [int(np.bitwise_and.reduce(word_masks))]
-            return labels, word_sizes.tolist(), comp_masks, mask_sets
         comp_masks_arr = np.full(len(word_sizes), full_mask(n), dtype=np.int64)
         np.bitwise_and.at(comp_masks_arr, labels, word_masks)
         # The distinct (component, mask) pairs, component-major.
@@ -463,7 +494,7 @@ class ComponentAnalysis:
         class_counts: list[int] = []
         sig_class_of: list[list[int]] = []
         for masks in signature_of:
-            classes, class_of, class_valences = self.space.agreement_classes(masks)
+            classes, class_of, class_valences = _agreement_classes(self.space, masks)
             class_base.append(len(input_classes))
             class_counts.append(len(classes))
             input_classes.extend(classes)
@@ -472,28 +503,23 @@ class ComponentAnalysis:
         # Pair ``offsets[C] + k`` is word component C with class k of its
         # signature (word-component-major order).
         word_count = len(comp_sig)
-        if max(class_counts, default=1) == 1:
-            # One class per word component: (min K, C) = (0, C).
-            pair_words = pair_cid = offsets = list(range(word_count))
-            pair_classes = [class_base[sig] for sig in comp_sig]
-        else:
-            offsets, pair_words, pair_classes = [], [], []
-            for label, sig in enumerate(comp_sig):
-                offsets.append(len(pair_words))
-                pair_words.extend(repeat(label, class_counts[sig]))
-                pair_classes.extend(
-                    range(class_base[sig], class_base[sig] + class_counts[sig])
-                )
-            keys = [
-                input_classes[k][0] * word_count + label
-                for label, k in zip(pair_words, pair_classes)
-            ]
-            # Keys are distinct (one class per (C, min K)); sort pairs by
-            # key, and the inverse permutation maps pair -> component id.
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            pair_cid = sorted(range(len(order)), key=order.__getitem__)
-            pair_words = [pair_words[pair] for pair in order]
-            pair_classes = [pair_classes[pair] for pair in order]
+        offsets, pair_words, pair_classes = [], [], []
+        for label, sig in enumerate(comp_sig):
+            offsets.append(len(pair_words))
+            pair_words.extend(repeat(label, class_counts[sig]))
+            pair_classes.extend(
+                range(class_base[sig], class_base[sig] + class_counts[sig])
+            )
+        keys = [
+            input_classes[k][0] * word_count + label
+            for label, k in zip(pair_words, pair_classes)
+        ]
+        # Keys are distinct (one class per (C, min K)); sort pairs by key,
+        # and the inverse permutation maps pair -> component id.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pair_cid = sorted(range(len(order)), key=order.__getitem__)
+        pair_words = [pair_words[pair] for pair in order]
+        pair_classes = [pair_classes[pair] for pair in order]
         self.components: list[Component] = list(
             map(
                 Component,
@@ -538,11 +564,8 @@ class ComponentAnalysis:
             pair_cid = np.asarray(self._pair_cid, dtype=np.int64)
             word_offsets = np.asarray(self._offsets, dtype=np.int64)[labels]
             class_of = np.asarray(self._sig_class_of, dtype=np.int64)
-            if len(class_of) == 1:
-                local = class_of[0][:, None]
-            else:
-                comp_sig = np.asarray(self._comp_sig, dtype=np.int64)
-                local = class_of[comp_sig[labels]].T
+            comp_sig = np.asarray(self._comp_sig, dtype=np.int64)
+            local = class_of[comp_sig[labels]].T
             return pair_cid[local + word_offsets[None, :]].reshape(-1)
         word_offsets = [self._offsets[label] for label in labels]
         word_classes = [self._sig_class_of[self._comp_sig[label]] for label in labels]

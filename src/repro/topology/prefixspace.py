@@ -447,9 +447,9 @@ class PrefixSpace:
         ]
         self._projections: dict[int, list[int]] = {}
         self._classes: dict[int, tuple[list[int], list[int]]] = {}
-        self._agreement: dict[
-            frozenset, tuple[list[tuple], list[int], list[frozenset]]
-        ] = {}
+        #: Input partitions per origin-mask signature, filled by the
+        #: component analysis (:mod:`repro.topology.components`).
+        self._agreement: dict[frozenset, tuple] = {}
         root = self.interner.leaf_level((INPUT_FREE,) * adversary.n)
         self._stores: list[LayerStore] = [
             LayerStore(
@@ -811,8 +811,7 @@ class PrefixSpace:
 
         Returns each vector's class index (classes numbered in order of
         their smallest member) and each class's projection; cached per
-        mask.  The component analysis links inputs through these classes
-        and the decision maps fold value bits over them.
+        mask.  The decision maps fold value bits over these classes.
         """
         classes = self._classes.get(mask)
         if classes is None:
@@ -823,66 +822,6 @@ class PrefixSpace:
             ]
             classes = self._classes[mask] = (class_of, list(index_of))
         return classes
-
-    def agreement_classes(
-        self, masks: frozenset
-    ) -> tuple[list[tuple], list[int], list[frozenset]]:
-        """The input vectors partitioned by "agree on some mask of ``masks``".
-
-        Returns the classes (ascending index tuples, ordered by smallest
-        member), each vector's class index, and each class's valences (the
-        unanimity values of its vectors); cached per mask set.  Agreement
-        on a mask implies agreement on its subsets, so only
-        inclusion-minimal masks link: each vector to the first vector of
-        its projection class under that mask.
-        """
-        cached = self._agreement.get(masks)
-        if cached is not None:
-            return cached
-        parent = list(range(len(self.input_vectors)))
-        for mask in masks:
-            if any(other != mask and other & mask == other for other in masks):
-                continue
-            class_of, projections = self.projection_classes(mask)
-            first = [-1] * len(projections)
-            for x, k in enumerate(class_of):
-                a = first[k]
-                if a < 0:
-                    first[k] = x
-                    continue
-                b = x
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                # Hook the larger root under the smaller: roots stay minimal.
-                if a < b:
-                    parent[b] = a
-                elif b < a:
-                    parent[a] = b
-        members: list[list[int]] = []
-        index_of: dict[int, int] = {}
-        classes_of: list[int] = []
-        for x in range(len(parent)):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            k = index_of.get(root)
-            if k is None:
-                k = index_of[root] = len(members)
-                members.append([])
-            members[k].append(x)
-            classes_of.append(k)
-        unanimity = self.unanimity_by_index
-        cached = self._agreement[masks] = (
-            [tuple(group) for group in members],
-            classes_of,
-            [
-                frozenset(unanimity[x] for x in group if unanimity[x] is not None)
-                for group in members
-            ],
-        )
-        return cached
 
     def view_key(self, view_id: int) -> int | None:
         """The factored key of one full view (None if no layer holds it).

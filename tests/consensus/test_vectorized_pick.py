@@ -54,26 +54,32 @@ FAMILIES = [
 
 @pytest.mark.parametrize("factory", FAMILIES, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("validity", ["weak", "strong"])
-def test_vectorized_assignment_matches_scalar(factory, validity):
+def test_vectorized_assignment_matches_scalar(factory, validity, monkeypatch):
+    import repro.topology.components as components_module
+
     np = numpy_module()
     spec = ConsensusSpec(validity=validity)
     space = PrefixSpace(factory(), layer_backend="numpy")
-    layers_checked = 0
+    passes = set()
     for depth in range(0, 5):
         space.ensure_depth(depth)
-        analysis = ComponentAnalysis(space, depth)
-        if not isinstance(analysis.comp_ids, np.ndarray):
-            continue
-        try:
-            expected = scalar_assignment(analysis, spec)
-        except AnalysisError as error:
-            with pytest.raises(AnalysisError) as caught:
-                _assign_values_numpy(np, analysis, spec)
-            assert str(caught.value) == str(error)
-        else:
-            assert _assign_values_numpy(np, analysis, spec) == expected
-        layers_checked += 1
-    assert layers_checked > 0
+        # The columnar assignment runs after either component pass: the
+        # vectorized one (int64 comp_ids) and the Python one (list).
+        for min_cells in (1, 1 << 62):
+            monkeypatch.setattr(
+                components_module, "_COMPONENT_NUMPY_MIN_CELLS", min_cells
+            )
+            analysis = ComponentAnalysis(space, depth)
+            passes.add(type(analysis.comp_ids))
+            try:
+                expected = scalar_assignment(analysis, spec)
+            except AnalysisError as error:
+                with pytest.raises(AnalysisError) as caught:
+                    _assign_values_numpy(np, analysis, spec)
+                assert str(caught.value) == str(error)
+            else:
+                assert _assign_values_numpy(np, analysis, spec) == expected
+    assert passes == {np.ndarray, list}
 
 
 def test_bivalent_component_raises_identical_error():
